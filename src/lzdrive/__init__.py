@@ -8,8 +8,9 @@ Layers:
   log-gamma, Stokes phase, Weber parabolic cylinder).
 - ``model``: drive parameters, field vector, Hamiltonian, harmonic
   bookkeeping.
-- ``integrate``: adaptive Runge-Kutta propagation of the Schrodinger and
-  Bloch equations (numeric ground truth).
+- ``integrate``: adaptive Runge-Kutta propagation of the Schrodinger
+  equation, with Bloch trajectories as its SO(3) image (numeric ground
+  truth).
 - ``analytic``: closed-form survival/transition probabilities for strong and
   weak longitudinal drive, Cayley-Klein parameters, unswept special cases.
 - ``blochpert``: perturbative Bloch-vector solutions and their kernel

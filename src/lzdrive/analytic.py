@@ -32,7 +32,7 @@ from .model import (
     level_offset,
     passage_phase,
 )
-from .specfun import bessel_j, log_gamma, stokes_phase, weber_d
+from .specfun import log_gamma, stokes_phase, weber_d
 
 __all__ = [
     "CayleyKlein",
@@ -40,8 +40,6 @@ __all__ = [
     "PassagePropagator",
     "resonance_index",
     "strong_drive_delta",
-    "strong_drive_delta_regrouped",
-    "strong_drive_delta_zero_shift",
     "strong_drive_survival",
     "caley_klein_asymptotic",
     "caley_klein_finite",
@@ -152,38 +150,6 @@ def strong_drive_delta(cfg: DriveConfig) -> float:
     return re * re + im * im
 
 
-def strong_drive_delta_regrouped(cfg: DriveConfig) -> float:
-    """Algebraically regrouped form of the same exponent (cross-check):
-    [J_0 + sum_{alpha != 0} J_alpha cos(phi_alpha)]^2 plus the sine square."""
-    (jm, pm), (j0, _), (jp, pp) = _resonant_couplings(cfg)
-    head = (j0 + jp * math.cos(pp) + jm * math.cos(pm)) ** 2
-    tail = (jp * math.sin(pp) + jm * math.sin(pm)) ** 2
-    return head + tail
-
-
-def strong_drive_delta_zero_shift(cfg: DriveConfig) -> float:
-    """Zero-static-shift form with sideband index Q = freq_mw/freq_rf
-    (cross-check; requires eps0 = 0 and integer Q)."""
-    c = cfg.reduced()
-    if c.eps0 != 0.0:
-        raise OffResonanceError("zero-shift form requires eps0 = 0")
-    if c.freq_rf <= 0.0:
-        raise OffResonanceError("zero-shift form needs freq_rf > 0")
-    q_ratio = c.freq_mw / c.freq_rf
-    q = round(q_ratio)
-    if abs(q_ratio - q) > _RES_TOL:
-        raise OffResonanceError(f"freq_mw/freq_rf = {q_ratio:.9g} is not an integer")
-    x = c.rf_ratio()
-    j_static = 0.5 * c.delta * bessel_j(0, x)
-    j_minus_q = 0.25 * c.amp_mw * bessel_j(-q, x)  # alpha = +1 sideband
-    j_plus_q = 0.25 * c.amp_mw * bessel_j(q, x)  # alpha = -1 sideband
-    cos_phi = math.cos(c.phase)
-    sin_phi = math.sin(c.phase)
-    return (j_static + (j_minus_q + j_plus_q) * cos_phi) ** 2 + (
-        (j_minus_q - j_plus_q) * sin_phi
-    ) ** 2
-
-
 def strong_drive_survival(cfg: DriveConfig) -> float:
     """Asymptotic survival probability exp(-2*pi*delta_eff) in (0, 1]."""
     return math.exp(-2.0 * math.pi * strong_drive_delta(cfg))
@@ -280,35 +246,16 @@ def transfer_matrix(
     return TransferMatrix(ck, psi)
 
 
-def _passage_entries(cfg: DriveConfig):
-    """(c, d) of the ordered product S_minus S_zero S_plus at photon index 0,
-    written out so the interference structure stays explicit."""
-    sm = transfer_matrix(HarmonicIndex(0, -1), cfg)
-    s0 = transfer_matrix(HarmonicIndex(0, 0), cfg)
-    sp = transfer_matrix(HarmonicIndex(0, 1), cfg)
-    am, a0, ap = sm.ck.a, s0.ck.a, sp.ck.a
-    bm, b0, bp = sm.ck.b, s0.ck.b, sp.ck.b
-    pm, p0, pp = sm.psi, s0.psi, sp.psi
-    c = ap * (
-        a0 * am - b0.conjugate() * bm * cmath.exp(-1j * (p0 - pm))
-    ) - bp.conjugate() * (
-        am * b0 * cmath.exp(1j * (p0 - pp))
-        + a0.conjugate() * bm * cmath.exp(1j * (pm - pp))
-    )
-    d = bm * cmath.exp(1j * pm) * (
-        a0.conjugate() * ap.conjugate()
-        - b0.conjugate() * bp * cmath.exp(-1j * (p0 - pp))
-    ) + am * (
-        ap.conjugate() * b0 * cmath.exp(1j * p0) + a0 * bp * cmath.exp(1j * pp)
-    )
-    return c, d
-
-
 def single_passage_propagator(cfg: DriveConfig) -> PassagePropagator:
     """Net propagator of one crossing triple in the weak-drive regime
-    (couplings << 1 intended, not enforced)."""
-    c, d = _passage_entries(cfg)
-    return PassagePropagator(c, d)
+    (couplings << 1 intended, not enforced): the ordered product
+    S_minus S_zero S_plus of the photon-index-0 transfer matrices."""
+    m = (
+        transfer_matrix(HarmonicIndex(0, -1), cfg).matrix()
+        @ transfer_matrix(HarmonicIndex(0, 0), cfg).matrix()
+        @ transfer_matrix(HarmonicIndex(0, 1), cfg).matrix()
+    )
+    return PassagePropagator(complex(m[0, 0]), complex(m[0, 1]))
 
 
 def weak_drive_probabilities(cfg: DriveConfig) -> tuple[float, float]:

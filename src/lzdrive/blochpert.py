@@ -32,7 +32,6 @@ __all__ = [
     "fg_kernels",
     "ac_as",
     "bloch_perturbative",
-    "bloch_perturbative_pairform",
     "bloch_asymptotic_uz",
 ]
 
@@ -158,57 +157,22 @@ def bloch_perturbative(tau, cfg: DriveConfig, trunc: TruncationSpec | None = Non
     as-is, not clamped."""
     if trunc is None:
         trunc = default_truncation(cfg)
-    couplings, offsets, phases, n, j_signed = _harmonic_grid(cfg, trunc)
-    c = cfg.reduced()
+    couplings, offsets, phases, _, _ = _harmonic_grid(cfg, trunc)
     tau = np.asarray(tau, dtype=float)
     scalar = tau.ndim == 0
-    t = np.atleast_1d(tau)[:, None]
+    t = np.atleast_1d(tau)
 
-    x = t + offsets[None, :]
-    cc, ss = scaled_fresnel(x)
-    sin_y = np.sin(phases)[None, :]
-    cos_y = np.cos(phases)[None, :]
-    lk = cc * sin_y - cos_y * ss
-    mk = cc * cos_y + sin_y * ss
+    lk, mk = lm_kernel(t[:, None] + offsets, phases)
     sum_l = np.sum(couplings[None, :] * lk, axis=1)
     sum_m = np.sum(couplings[None, :] * mk, axis=1)
+    a_c, a_s = ac_as(t, cfg, trunc)
 
-    off0 = (c.eps0 + n * c.freq_rf)[None, :]
-    kern = 0.5 * (t + off0) ** 2 - 0.5 * off0 * off0
-    a_c = np.sum(j_signed[None, :] * np.cos(kern), axis=1)
-    a_s = np.sum(j_signed[None, :] * np.sin(kern), axis=1)
-
-    out = np.empty(t.shape[:1] + (3,))
+    out = np.empty(t.shape + (3,))
     out[:, 0] = _TWO_SQRT_PI * (a_c * sum_l + a_s * sum_m)
     out[:, 1] = _TWO_SQRT_PI * (a_s * sum_l - a_c * sum_m)
     out[:, 2] = 1.0 - 2.0 * math.pi * (sum_l**2 + sum_m**2)
     if scalar:
         return out[0]
-    return out
-
-
-def bloch_perturbative_pairform(tau, cfg: DriveConfig, trunc: TruncationSpec | None = None):
-    """u_z evaluated through the pairwise-kernel form (cross-check):
-    1 - 4*pi * sum over harmonic pairs of J J' [cos(dPsi) F+ - sin(dPsi) G-].
-
-    Quadratic in the truncated grid size; meant for spot checks."""
-    if trunc is None:
-        trunc = default_truncation(cfg)
-    couplings, offsets, phases, _, _ = _harmonic_grid(cfg, trunc)
-    tau = np.asarray(tau, dtype=float)
-    scalar = tau.ndim == 0
-    t = np.atleast_1d(tau)
-    out = np.empty(t.shape)
-    dpsi = phases[:, None] - phases[None, :]
-    jj = couplings[:, None] * couplings[None, :]
-    cos_d = np.cos(dpsi)
-    sin_d = np.sin(dpsi)
-    for i, ti in enumerate(t):
-        x = ti + offsets
-        f_plus, _, _, g_minus = fg_kernels(x[:, None], x[None, :])
-        out[i] = 1.0 - 4.0 * math.pi * np.sum(jj * (cos_d * f_plus - sin_d * g_minus))
-    if scalar:
-        return float(out[0])
     return out
 
 

@@ -27,7 +27,7 @@ from .analytic import (
     weak_drive_probabilities,
 )
 from .blochpert import TruncationSpec, bloch_perturbative, default_truncation
-from .errors import ConfigError
+from .errors import ConfigError, IntegrationError
 from .integrate import propagate_bloch, propagate_tdse, spinor_to_bloch
 from .model import DriveConfig
 
@@ -208,74 +208,72 @@ def parse_config(text: str) -> RunSpec:
     return _build_runspec(entries, lines)
 
 
+_SWEEP_AXIS_KEYS = ("field", "min", "max", "steps")
+
+
+def _flatten_sweep_json(doc) -> dict:
+    """JSON sweep spec -> flat entries: {"axis1": {"min": 0, ...}} becomes
+    {"axis1_min": 0, ...}; a null axis is left out."""
+    if not isinstance(doc, dict):
+        raise ConfigError("JSON sweep spec must be an object")
+    entries = {}
+    for key, value in doc.items():
+        if key not in ("axis1", "axis2"):
+            entries[key] = value
+        elif value is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be an object", key=key)
+            entries.update((f"{key}_{sub}", v) for sub, v in value.items())
+    return entries
+
+
+def _sweep_axis(entries: dict, lines: dict, prefix: str):
+    keys = [f"{prefix}_{s}" for s in _SWEEP_AXIS_KEYS]
+    if not any(k in entries for k in keys):
+        return None
+    missing = [k for k in keys if k not in entries]
+    if missing:
+        raise ConfigError(f"sweep axis incomplete, missing {missing}", key=prefix)
+    lo, hi, steps = (_coerce_number(k, entries[k], lines.get(k)) for k in keys[1:])
+    if not steps.is_integer():
+        raise ConfigError(
+            f"{keys[3]} must be an integer, got {entries[keys[3]]!r}",
+            key=keys[3],
+            line=lines.get(keys[3]),
+        )
+    return str(entries[keys[0]]), lo, hi, int(steps)
+
+
 def parse_sweep(text: str) -> SweepSpec:
     """Parse a sweep spec from JSON or flat key = value text.
 
     JSON form: {"axis1": {"field":..., "min":..., "max":..., "steps":...},
     "axis2": {...} (optional), "observable": ...}.  Flat form uses keys
     axis1_field, axis1_min, axis1_max, axis1_steps, likewise axis2_*, and
-    observable."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    observable.  The JSON form is flattened to those keys, so both syntaxes
+    are validated by the same code."""
+    if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON sweep spec: {exc}") from None
-        def make_axis(d, name):
-            if d is None:
-                return None
-            if not isinstance(d, dict):
-                raise ConfigError(f"{name} must be an object", key=name)
-            missing = {"field", "min", "max", "steps"} - set(d)
-            if missing:
-                raise ConfigError(
-                    f"{name} missing keys: {sorted(missing)}", key=name
-                )
-            return (
-                str(d["field"]),
-                _coerce_number(f"{name}.min", d["min"]),
-                _coerce_number(f"{name}.max", d["max"]),
-                int(_coerce_number(f"{name}.steps", d["steps"])),
-            )
-        if "axis1" not in doc or "observable" not in doc:
-            raise ConfigError("sweep spec needs 'axis1' and 'observable'")
-        extra = set(doc) - {"axis1", "axis2", "observable"}
-        if extra:
-            raise ConfigError(f"unknown sweep keys: {sorted(extra)}")
-        return SweepSpec(
-            make_axis(doc["axis1"], "axis1"),
-            make_axis(doc.get("axis2"), "axis2"),
-            str(doc["observable"]),
-        )
-    entries, lines = _parse_flat(text)
-    def axis_from_flat(prefix):
-        keys = [f"{prefix}_field", f"{prefix}_min", f"{prefix}_max", f"{prefix}_steps"]
-        present = [k for k in keys if k in entries]
-        if not present:
-            return None
-        missing = [k for k in keys if k not in entries]
-        if missing:
-            raise ConfigError(f"sweep axis incomplete, missing {missing}", key=prefix)
-        return (
-            entries[keys[0]],
-            _coerce_number(keys[1], entries[keys[1]], lines.get(keys[1])),
-            _coerce_number(keys[2], entries[keys[2]], lines.get(keys[2])),
-            int(_coerce_number(keys[3], entries[keys[3]], lines.get(keys[3]))),
-        )
-    axis1 = axis_from_flat("axis1")
-    if axis1 is None:
-        raise ConfigError("sweep spec needs axis1_field/min/max/steps")
-    axis2 = axis_from_flat("axis2")
-    if "observable" not in entries:
-        raise ConfigError("sweep spec needs an observable", key="observable")
+        entries, lines = _flatten_sweep_json(doc), {}
+    else:
+        entries, lines = _parse_flat(text)
     known = {"observable"} | {
-        f"{p}_{s}" for p in ("axis1", "axis2") for s in ("field", "min", "max", "steps")
+        f"{p}_{s}" for p in ("axis1", "axis2") for s in _SWEEP_AXIS_KEYS
     }
     extra = set(entries) - known
     if extra:
         k = sorted(extra)[0]
         raise ConfigError(f"unknown sweep key '{k}'", key=k, line=lines.get(k))
-    return SweepSpec(axis1, axis2, entries["observable"])
+    axis1 = _sweep_axis(entries, lines, "axis1")
+    if axis1 is None:
+        raise ConfigError("sweep spec needs axis1_field/min/max/steps")
+    axis2 = _sweep_axis(entries, lines, "axis2")
+    if "observable" not in entries:
+        raise ConfigError("sweep spec needs an observable", key="observable")
+    return SweepSpec(axis1, axis2, str(entries["observable"]))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +344,8 @@ def _sweep_cell(args):
             p_up, p_dn = tr.final_populations()
             value = p_up if observable == "p_up_final" else p_dn
         return index, _fmt(value)
-    except Exception as exc:  # cell failures must not abort the grid
+    except (ValueError, ArithmeticError, IntegrationError) as exc:
+        # numeric and domain failures of one cell must not abort the grid
         return index, f"error({type(exc).__name__})"
 
 

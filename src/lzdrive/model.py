@@ -64,6 +64,8 @@ class DriveConfig:
     def __post_init__(self):
         for f in fields(self):
             val = getattr(self, f.name)
+            if isinstance(val, bool):
+                raise ConfigError(f"{f.name} must be a number, not bool", key=f.name)
             if not isinstance(val, (int, float, np.integer, np.floating)) or not math.isfinite(val):
                 raise ConfigError(f"{f.name} must be finite", key=f.name)
             object.__setattr__(self, f.name, float(val))

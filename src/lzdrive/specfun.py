@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -534,8 +535,8 @@ def weber_d(nu, z) -> complex:
 
     Relative error <= 1e-8 over the validated box |z| <= 60,
     max(|Re nu|, |Im nu|) <= 3; arguments outside it raise DomainError,
-    and internal cancellation beyond the guard raises AccuracyError rather
-    than returning silent garbage.
+    and internal cancellation beyond the guard or a subnormal result raises
+    AccuracyError rather than returning silent garbage.
     """
     nu = complex(nu)
     z = complex(z)
@@ -559,4 +560,8 @@ def weber_d(nu, z) -> complex:
         raise AccuracyError(f"weber_d overflow at nu={nu}, z={z}") from None
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise AccuracyError(f"weber_d overflow at nu={nu}, z={z}")
+    if 0.0 < abs(out) < sys.float_info.min:
+        # subnormal results keep too few significant bits for the contract;
+        # a clean underflow to zero is returned as 0
+        raise AccuracyError(f"weber_d subnormal result at nu={nu}, z={z}")
     return out

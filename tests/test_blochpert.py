@@ -10,7 +10,6 @@ from lzdrive.blochpert import (
     ac_as,
     bloch_asymptotic_uz,
     bloch_perturbative,
-    bloch_perturbative_pairform,
     default_truncation,
     fg_kernels,
     lm_kernel,
@@ -19,6 +18,7 @@ from lzdrive.blochpert import (
 from lzdrive.errors import DomainError
 from lzdrive.model import DriveConfig, HarmonicIndex
 from lzdrive.specfun import scaled_fresnel
+from oracles import bloch_perturbative_pairform
 
 CASCADE = dict(delta=0.07, eps0=0.5, amp_rf=25.0, freq_rf=1.0, amp_mw=0.08,
                freq_mw=1.0)

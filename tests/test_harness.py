@@ -93,6 +93,12 @@ def test_parse_sweep_forms():
     with pytest.raises(ConfigError):
         parse_sweep("axis1_field = nope\naxis1_min = 0\naxis1_max = 1\n"
                     "axis1_steps = 2\nobservable = p_up_final\n")
+    with pytest.raises(ConfigError, match="integer"):
+        parse_sweep("axis1_field = delta\naxis1_min = 0\naxis1_max = 1\n"
+                    "axis1_steps = 2.9\nobservable = p_up_final\n")
+    doc["axis2"]["steps"] = 2.9
+    with pytest.raises(ConfigError, match="integer"):
+        parse_sweep(json.dumps(doc))
     with pytest.raises(ConfigError):
         SweepSpec(("delta", 0.0, 1.0, 1), None, "p_up_final")
     with pytest.raises(ConfigError):
@@ -152,6 +158,21 @@ def test_run_sweep_records_cell_failures_and_continues():
     ok_cell = lines[0].split(",")[1]
     assert float(ok_cell) == pytest.approx(0.1**2 / 4.0)
     assert lines[1].split(",")[1] == "error(OffResonanceError)"
+
+
+def test_run_sweep_propagates_programming_errors(monkeypatch):
+    # only numeric and domain failures become error cells
+    def broken(*args, **kwargs):
+        raise TypeError("not a cell failure")
+
+    monkeypatch.setattr("lzdrive.harness.propagate_tdse", broken)
+    spec = parse_config("delta = 0.1\n")
+    sweep = parse_sweep(json.dumps({
+        "axis1": {"field": "eps0", "min": 0.0, "max": 0.5, "steps": 2},
+        "observable": "p_up_final",
+    }))
+    with pytest.raises(TypeError, match="not a cell failure"):
+        run_sweep(spec, sweep, workers=1)
 
 
 def test_run_compare_zero_coupling_exact():

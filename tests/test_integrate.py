@@ -8,7 +8,6 @@ import pytest
 
 from lzdrive.errors import DomainError
 from lzdrive.integrate import (
-    _evolve_bloch,
     _evolve_tdse,
     bloch_angles,
     populations,
@@ -17,6 +16,7 @@ from lzdrive.integrate import (
     spinor_to_bloch,
 )
 from lzdrive.model import DriveConfig
+from oracles import evolve_bloch
 
 
 def random_config(rng, amp_cap=25.0):
@@ -83,11 +83,27 @@ def test_tdse_bloch_pointwise_equivalence():
     worst = 0.0
     for _ in range(20):
         cfg = random_config(rng)
-        ts = propagate_tdse(cfg, tau_start=-8.0, tau_end=8.0, tol=1e-11,
-                            sample_stride=0.5)
         tb = propagate_bloch(cfg, tau_start=-8.0, tau_end=8.0, tol=1e-11,
                              sample_stride=0.5)
-        worst = max(worst, float(np.max(np.abs(ts.bloch() - tb.data))))
+        _, ref = evolve_bloch(cfg, [0.0, 0.0, 1.0], -8.0, 8.0, 1e-11, t_eval=tb.taus)
+        worst = max(worst, float(np.max(np.abs(ref - tb.data))))
+    assert worst <= 1e-8
+
+
+def test_bloch_from_any_initial_vector_matches_bloch_equation():
+    # the spinor-derived Bloch path is linear in u0: inside the ball, on the
+    # southern hemisphere, at the south pole and at the origin
+    cfg = DriveConfig(delta=0.07, eps0=0.3, amp_rf=5.0, freq_rf=1.0,
+                      amp_mw=0.08, freq_mw=1.5, phase=0.4)
+    worst = 0.0
+    for u0 in ([0.3, -0.2, 0.5], [0.6, 0.1, -0.7], [-0.48, 0.6, -0.64],
+               [0.0, 0.0, -1.0], [0.0, 0.0, 0.0]):
+        tb = propagate_bloch(cfg, u0=u0, tau_start=-8.0, tau_end=8.0, tol=1e-11,
+                             sample_stride=0.5)
+        _, ref = evolve_bloch(cfg, u0, -8.0, 8.0, 1e-11, t_eval=tb.taus)
+        worst = max(worst, float(np.max(np.abs(ref - tb.data))))
+        np.testing.assert_allclose(np.linalg.norm(tb.data, axis=1),
+                                   np.linalg.norm(u0), atol=1e-9)
     assert worst <= 1e-8
 
 
@@ -98,8 +114,8 @@ def test_time_reversal_returns_initial_state():
     _, back = _evolve_tdse(cfg, fwd[-1], 10.0, -10.0, 1e-11)
     assert np.max(np.abs(back[-1] - psi0)) <= 1e-7
     u0 = np.array([0.0, 0.0, 1.0])
-    _, fwd = _evolve_bloch(cfg, u0, -10.0, 10.0, 1e-11)
-    _, back = _evolve_bloch(cfg, fwd[-1], 10.0, -10.0, 1e-11)
+    _, fwd = evolve_bloch(cfg, u0, -10.0, 10.0, 1e-11)
+    _, back = evolve_bloch(cfg, fwd[-1], 10.0, -10.0, 1e-11)
     assert np.max(np.abs(back[-1] - u0)) <= 1e-7
 
 

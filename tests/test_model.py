@@ -42,6 +42,9 @@ def test_config_validation():
         DriveConfig(amp_mw=1.0, freq_mw=-2.0)
     with pytest.raises(ConfigError):
         DriveConfig(delta=math.nan)
+    with pytest.raises(ConfigError) as err:
+        DriveConfig(delta=True)
+    assert err.value.key == "delta"
 
 
 def test_config_rescaling():

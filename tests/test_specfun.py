@@ -374,3 +374,17 @@ def test_weber_domain_errors():
     with pytest.raises(AccuracyError):
         weber_d(0.0, 60.0j)
     assert weber_d(0.0, 59.9) == 0.0  # clean underflow stays finite
+
+
+def test_weber_subnormal_result_refuses_or_meets_contract():
+    # |exp(-z^2/4)| ~ 1e-316 here: a subnormal value has too few bits left
+    # for the 1e-8 relative contract
+    mpmath = pytest.importorskip("mpmath")
+    nu, z = complex(-0.453, 0.454), complex(56.0, -15.1)
+    try:
+        got = weber_d(nu, z)
+    except AccuracyError:
+        return
+    with mpmath.workdps(30):
+        ref = complex(mpmath.pcfd(nu, z))
+    assert abs(got - ref) <= 1e-8 * abs(ref)
