@@ -131,20 +131,23 @@ def _harmonic_grid(cfg: DriveConfig, trunc: TruncationSpec):
     )
 
 
+def _rotation_sums(t, offsets, phases, j_signed):
+    """a_c, a_s at the 1-D times t from the alpha = 0 third of a harmonic
+    grid, whose phase kernels are (t + offset)^2/2 - offset^2/2."""
+    m = j_signed.size
+    k = ALPHAS.index(0)
+    off = offsets[k * m : (k + 1) * m]
+    kern = 0.5 * (t[:, None] + off) ** 2 - phases[k * m : (k + 1) * m]
+    return np.sum(j_signed * np.cos(kern), axis=1), np.sum(j_signed * np.sin(kern), axis=1)
+
+
 def ac_as(tau, cfg: DriveConfig, trunc: TruncationSpec):
     """Longitudinal rotation sums a_c = sum_n J_n cos(K_n), a_s with sin,
     over the alpha = 0 phase kernels; broadcasts over tau."""
-    _, _, _, n, j_signed = _harmonic_grid(cfg, trunc)
-    c = cfg.reduced()
+    _, offsets, phases, _, j_signed = _harmonic_grid(cfg, trunc)
     tau = np.asarray(tau, dtype=float)
-    scalar = tau.ndim == 0
-    t = np.atleast_1d(tau)[:, None]
-    off = (c.eps0 + n * c.freq_rf)[None, :]
-    psi = (0.5 * off * off)
-    kern = 0.5 * (t + off) ** 2 - psi
-    a_c = np.sum(j_signed[None, :] * np.cos(kern), axis=1)
-    a_s = np.sum(j_signed[None, :] * np.sin(kern), axis=1)
-    if scalar:
+    a_c, a_s = _rotation_sums(np.atleast_1d(tau), offsets, phases, j_signed)
+    if tau.ndim == 0:
         return float(a_c[0]), float(a_s[0])
     return a_c, a_s
 
@@ -157,7 +160,7 @@ def bloch_perturbative(tau, cfg: DriveConfig, trunc: TruncationSpec | None = Non
     as-is, not clamped."""
     if trunc is None:
         trunc = default_truncation(cfg)
-    couplings, offsets, phases, _, _ = _harmonic_grid(cfg, trunc)
+    couplings, offsets, phases, _, j_signed = _harmonic_grid(cfg, trunc)
     tau = np.asarray(tau, dtype=float)
     scalar = tau.ndim == 0
     t = np.atleast_1d(tau)
@@ -165,7 +168,7 @@ def bloch_perturbative(tau, cfg: DriveConfig, trunc: TruncationSpec | None = Non
     lk, mk = lm_kernel(t[:, None] + offsets, phases)
     sum_l = np.sum(couplings[None, :] * lk, axis=1)
     sum_m = np.sum(couplings[None, :] * mk, axis=1)
-    a_c, a_s = ac_as(t, cfg, trunc)
+    a_c, a_s = _rotation_sums(t, offsets, phases, j_signed)
 
     out = np.empty(t.shape + (3,))
     out[:, 0] = _TWO_SQRT_PI * (a_c * sum_l + a_s * sum_m)

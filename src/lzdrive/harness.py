@@ -10,16 +10,22 @@ JSON report with per-point deviations.
 
 from __future__ import annotations
 
+import cmath
 import io
 import json
 import math
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.integrate import quad
 
+from . import specfun as sf
 from .analytic import (
+    caley_klein_asymptotic,
+    caley_klein_finite,
     inverse_lz_case,
     rabi_case,
     strong_drive_delta,
@@ -27,8 +33,8 @@ from .analytic import (
     weak_drive_probabilities,
 )
 from .blochpert import TruncationSpec, bloch_perturbative, default_truncation
-from .errors import ConfigError, IntegrationError
-from .integrate import propagate_bloch, propagate_tdse, spinor_to_bloch
+from .errors import AccuracyError, ConfigError, IntegrationError
+from .integrate import _TOL_MAX, _TOL_MIN, propagate_bloch, propagate_tdse, spinor_to_bloch
 from .model import DriveConfig
 
 __all__ = [
@@ -41,11 +47,11 @@ __all__ = [
     "run_sweep",
     "run_compare",
     "selftest",
+    "SELFTEST_CHECKS",
     "COMPARE_METHODS",
     "OBSERVABLES",
 ]
 
-_MODES = ("trace", "sweep", "compare", "selftest")
 _CFG_KEYS = ("v", "delta", "eps0", "amp_rf", "freq_rf", "amp_mw", "freq_mw", "phase")
 _FLOAT_FMT = ".17g"
 
@@ -57,7 +63,6 @@ OBSERVABLES = ("p_up_final", "p_dn_final", "uz_final", "delta_param")
 class RunSpec:
     """One validated run: physical config plus window/integrator settings."""
 
-    mode: str = "trace"
     cfg: DriveConfig = field(default_factory=DriveConfig)
     tau_start: float = -50.0
     tau_end: float = 50.0
@@ -67,14 +72,12 @@ class RunSpec:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ConfigError(f"unknown mode '{self.mode}'", key="mode")
         if not (self.tau_start < self.tau_end):
             raise ConfigError("window must be ordered: tau_start < tau_end", key="tau_start")
         if self.stride <= 0.0:
             raise ConfigError("stride must be positive", key="stride")
-        if not (1e-13 <= self.tol <= 1e-6):
-            raise ConfigError("tol must lie in [1e-13, 1e-6]", key="tol")
+        if not (_TOL_MIN <= self.tol <= _TOL_MAX):
+            raise ConfigError(f"tol must lie in [{_TOL_MIN:g}, {_TOL_MAX:g}]", key="tol")
 
     def truncation(self) -> TruncationSpec:
         return self.trunc if self.trunc is not None else default_truncation(self.cfg)
@@ -132,7 +135,7 @@ class CompareReport:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_RUN_KEYS = _CFG_KEYS + ("mode", "tau_start", "tau_end", "tol", "stride", "n_max", "output")
+_RUN_KEYS = _CFG_KEYS + ("tau_start", "tau_end", "tol", "stride", "n_max", "output")
 
 
 def _coerce_number(key: str, raw, line: int | None = None) -> float:
@@ -153,9 +156,7 @@ def _build_runspec(entries: dict, lines: dict | None = None) -> RunSpec:
         line = lines.get(key)
         if key not in _RUN_KEYS:
             raise ConfigError(f"unknown config key '{key}'", key=key, line=line)
-        if key == "mode":
-            run_kwargs["mode"] = str(raw)
-        elif key == "output":
+        if key == "output":
             run_kwargs["output_path"] = str(raw)
         elif key == "n_max":
             val = _coerce_number(key, raw, line)
@@ -324,15 +325,6 @@ def _sweep_cell(args):
         cfg = DriveConfig(**cfg_kwargs)
         if observable == "delta_param":
             value = strong_drive_delta(cfg)
-        elif observable == "uz_final":
-            tr = propagate_bloch(
-                cfg,
-                tau_start=tau_start,
-                tau_end=tau_end,
-                tol=tol,
-                sample_stride=tau_end - tau_start,
-            )
-            value = float(tr.data[-1, 2])
         else:
             tr = propagate_tdse(
                 cfg,
@@ -342,7 +334,7 @@ def _sweep_cell(args):
                 sample_stride=tau_end - tau_start,
             )
             p_up, p_dn = tr.final_populations()
-            value = p_up if observable == "p_up_final" else p_dn
+            value = {"p_up_final": p_up, "p_dn_final": p_dn, "uz_final": p_up - p_dn}[observable]
         return index, _fmt(value)
     except (ValueError, ArithmeticError, IntegrationError) as exc:
         # numeric and domain failures of one cell must not abort the grid
@@ -435,10 +427,11 @@ def _zero_sweep_samples(spec, formula, t_max, n_pts):
         tol=spec.tol,
         sample_stride=float(taus[0]),
     )
+    pops = tr.populations()
     out = []
     for t in taus:
         k = int(np.argmin(np.abs(tr.taus - t)))
-        p_num = tr.populations()[k]
+        p_num = pops[k]
         p_up, p_dn = formula(spec.cfg, float(tr.taus[k]))
         out.append(
             {"where": f"p_up@t={_fmt(tr.taus[k])}", "analytic": p_up, "numeric": float(p_num[0])}
@@ -499,115 +492,149 @@ def run_compare(spec: RunSpec, method: str, threshold: float) -> CompareReport:
 # Self test
 # ---------------------------------------------------------------------------
 
+# Each random check draws from its own generator, seeded _CHECK_SEED + k, so
+# adding, dropping or reordering entries never moves another entry's points.
+_CHECK_SEED = 20240311
 
-def selftest(out=None) -> bool:
-    """Run the special-function oracle checks and print a pass/fail table."""
-    import cmath
-    import sys
 
-    from scipy.integrate import quad
-
-    from . import specfun as sf
-    from .analytic import caley_klein_asymptotic, caley_klein_finite
-
-    out = out if out is not None else sys.stdout
-    rng = np.random.default_rng(20240817)
-    checks = []
-
-    def check(name, dev, tol):
-        checks.append((name, float(dev), float(tol)))
-
-    # Bessel sum rules and Jacobi-Anger resynthesis
-    dev_sq = dev_lin = dev_ja = 0.0
-    for _ in range(12):
+def _bessel_sum_rules():
+    """Worst deviations of sum J_n^2 = 1, sum J_n = 1 and the Jacobi-Anger
+    resynthesis sum J_n(x) e^{iny} = e^{ix sin y}, over 25 random x <= 30."""
+    rng = np.random.default_rng(_CHECK_SEED + 2)
+    dev = np.zeros(3)
+    for _ in range(25):
         x = float(rng.uniform(0.0, 30.0))
-        nmax = int(abs(x)) + 30
+        nmax = int(x) + 30
         seq = sf.bessel_j_sequence(nmax, x)
-        total_sq = seq[0] ** 2 + 2.0 * np.sum(seq[1:] ** 2)
-        dev_sq = max(dev_sq, abs(total_sq - 1.0))
         n = np.arange(-nmax, nmax + 1)
         signed = np.where((n < 0) & (np.abs(n) % 2 == 1), -seq[np.abs(n)], seq[np.abs(n)])
-        dev_lin = max(dev_lin, abs(np.sum(signed) - 1.0))
         y = float(rng.uniform(0.0, 2.0 * math.pi))
         resyn = np.sum(signed * np.exp(1j * n * y))
-        dev_ja = max(dev_ja, abs(resyn - cmath.exp(1j * x * math.sin(y))))
-    check("bessel squared-sum rule", dev_sq, 1e-10)
-    check("bessel linear-sum rule", dev_lin, 1e-10)
-    check("jacobi-anger resynthesis", dev_ja, 1e-9)
+        dev = np.maximum(dev, [
+            abs(np.sum(signed**2) - 1.0),
+            abs(np.sum(signed) - 1.0),
+            abs(resyn - cmath.exp(1j * x * math.sin(y))),
+        ])
+    return dev
 
-    # Fresnel: oddness, bounds, quadrature identity
-    xs = rng.uniform(-8.0, 8.0, size=10)
-    c1, s1 = sf.fresnel(xs)
-    c2, s2 = sf.fresnel(-xs)
-    check("fresnel oddness", np.max(np.abs(c1 + c2)) + np.max(np.abs(s1 + s2)), 1e-14)
-    check("fresnel bounds", max(np.max(np.abs(c1)), np.max(np.abs(s1))) - 0.9, 0.0)
-    dev_q = 0.0
-    for x in (0.4, 1.0, 2.3, 3.7, 5.0):
-        ref_c = quad(lambda t: math.cos(0.5 * math.pi * t * t), 0.0, x, limit=200)[0]
-        ref_s = quad(lambda t: math.sin(0.5 * math.pi * t * t), 0.0, x, limit=200)[0]
+
+def _fresnel_at_pm_x():
+    """(C, S) rows at 200 random x in [-50, 50], and the same at -x."""
+    x = np.random.default_rng(_CHECK_SEED + 3).uniform(-50.0, 50.0, size=200)
+    return np.array(sf.fresnel(x)), np.array(sf.fresnel(-x))
+
+
+def _fresnel_vs_quadrature():
+    dev = 0.0
+    for x in (0.3, 0.9, 1.7, 2.6, 3.4, 3.9, 4.3, 5.5, 8.0):
+        ref_c = quad(lambda t: math.cos(0.5 * math.pi * t * t), 0.0, x, limit=400)[0]
+        ref_s = quad(lambda t: math.sin(0.5 * math.pi * t * t), 0.0, x, limit=400)[0]
         got = sf.fresnel(x)
-        dev_q = max(dev_q, abs(got.c - ref_c), abs(got.s - ref_s))
-    check("fresnel vs quadrature", dev_q, 1e-10)
-    half = quad(lambda t: math.cos(0.5 * t * t), 0.0, 2.0, limit=200)[0]
-    ident = abs(
-        math.sqrt(math.pi) * sf.scaled_fresnel(2.0)[0]
-        - (0.5 * math.sqrt(math.pi) + half)
-    )
-    check("shifted-fresnel integral identity", ident, 1e-8)
+        dev = max(dev, abs(got.c - ref_c), abs(got.s - ref_s))
+    return dev
 
-    # log-gamma reflection and modulus law
-    dev_refl = 0.0
-    for _ in range(10):
-        z = complex(rng.uniform(-4.0, 4.0), rng.uniform(0.2, 4.0))
+
+def _scaled_fresnel_identity():
+    """sqrt(pi) * first component = integral of cos(s^2/2) from -inf to tau."""
+    dev = 0.0
+    for tau in (2.0, -1.3, 0.7):
+        ref = 0.5 * math.sqrt(math.pi) + quad(
+            lambda t: math.cos(0.5 * t * t), 0.0, tau, limit=400
+        )[0]
+        dev = max(dev, abs(math.sqrt(math.pi) * sf.scaled_fresnel(tau)[0] - ref))
+    return dev
+
+
+def _log_gamma_reflection():
+    """Relative deviation of Gamma(z) Gamma(1 - z) = pi / sin(pi z)."""
+    rng = np.random.default_rng(_CHECK_SEED + 5)
+    dev = 0.0
+    for _ in range(60):
+        z = complex(rng.uniform(-6.0, 6.0), rng.uniform(0.1, 6.0))
         lhs = cmath.exp(sf.log_gamma(z) + sf.log_gamma(1.0 - z))
         rhs = math.pi / cmath.sin(math.pi * z)
-        dev_refl = max(dev_refl, abs(lhs - rhs) / abs(rhs))
-    check("log-gamma reflection", dev_refl, 1e-10)
-    dev_mod = 0.0
-    for y in (0.3, 1.0, 2.5, 10.0):
+        dev = max(dev, abs(lhs - rhs) / abs(rhs))
+    return dev
+
+
+def _gamma_modulus_law():
+    """Relative deviation of |Gamma(1 + iy)|^2 = pi y / sinh(pi y)."""
+    dev = 0.0
+    for y in (0.25, 0.3, 1.0, 2.5, 3.0, 10.0, 12.0):
         lhs = abs(cmath.exp(sf.log_gamma(1.0 + 1j * y))) ** 2
         rhs = math.pi * y / math.sinh(math.pi * y)
-        dev_mod = max(dev_mod, abs(lhs - rhs) / rhs)
-    check("gamma modulus law", dev_mod, 1e-12)
-    check(
-        "stokes phase endpoints",
-        abs(sf.stokes_phase(0.0) - 0.25 * math.pi)
-        + abs(sf.stokes_phase(1e-9) - 0.25 * math.pi) / 10.0,
-        1e-7,
-    )
+        dev = max(dev, abs(lhs - rhs) / rhs)
+    return dev
 
-    # Weber closed forms and recurrence
-    dev_cf = 0.0
+
+def _weber_closed_forms():
+    """D_0(z) = e^{-z^2/4} and D_1(z) = z e^{-z^2/4}."""
+    dev = 0.0
     for z in (1.0 + 2.0j, 0.5 - 0.3j, -2.0 + 1.0j):
-        dev_cf = max(dev_cf, abs(sf.weber_d(0.0, z) - cmath.exp(-0.25 * z * z)))
-        dev_cf = max(dev_cf, abs(sf.weber_d(1.0, z) - z * cmath.exp(-0.25 * z * z)))
-    check("weber closed forms", dev_cf, 1e-10)
-    dev_rec = 0.0
-    for _ in range(20):
+        gauss = cmath.exp(-0.25 * z * z)
+        dev = max(dev, abs(sf.weber_d(0.0, z) - gauss), abs(sf.weber_d(1.0, z) - z * gauss))
+    return dev
+
+
+def _weber_recurrence():
+    """Relative deviation of D_{nu+1} - z D_nu + nu D_{nu-1} = 0 over 120
+    random draws with |z| <= 14; inf unless at least 100 evaluate."""
+    rng = np.random.default_rng(_CHECK_SEED + 7)
+    dev = 0.0
+    checked = 0
+    for _ in range(120):
         nu = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        z = complex(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
+        r = float(rng.uniform(0.1, 14.0))
+        th = float(rng.uniform(-math.pi, math.pi))
+        z = r * cmath.exp(1j * th)
         try:
-            d0 = sf.weber_d(nu, z)
-            dp = sf.weber_d(nu + 1.0, z)
-            dm = sf.weber_d(nu - 1.0, z)
-        except sf.AccuracyError:  # pragma: no cover - rare honest refusal
+            d0, dp, dm = (sf.weber_d(nu + k, z) for k in (0.0, 1.0, -1.0))
+        except AccuracyError:
             continue
         scale = max(abs(dp), abs(z * d0), abs(nu * dm), 1e-30)
-        dev_rec = max(dev_rec, abs(dp - z * d0 + nu * dm) / scale)
-    check("weber recurrence", dev_rec, 1e-7)
+        dev = max(dev, abs(dp - z * d0 + nu * dm) / scale)
+        checked += 1
+    return dev if checked >= 100 else math.inf
 
-    # Cayley-Klein unitarity
-    dev_ck = 0.0
-    for d in (0.0, 0.05, 0.3, 1.0):
-        dev_ck = max(dev_ck, caley_klein_asymptotic(d).unitarity_defect())
+
+def _cayley_klein_unitarity():
+    dev = max(caley_klein_asymptotic(d).unitarity_defect() for d in (0.0, 0.05, 0.3, 1.0))
     rot = cmath.exp(-0.25j * math.pi)
     for d in (0.05, 0.2):
-        ck = caley_klein_finite(d, -9.0 * rot, 11.0 * rot)
-        dev_ck = max(dev_ck, ck.unitarity_defect())
-    check("cayley-klein unitarity", dev_ck, 1e-9)
+        dev = max(dev, caley_klein_finite(d, -9.0 * rot, 11.0 * rot).unitarity_defect())
+    return dev
 
+
+# (name, tolerance, deviation()) of every check the selftest prints;
+# tests/test_specfun.py runs the same table.
+SELFTEST_CHECKS = (
+    ("bessel_squared_sum_rule", 1e-10, lambda: _bessel_sum_rules()[0]),
+    ("bessel_linear_sum_rule", 1e-10, lambda: _bessel_sum_rules()[1]),
+    ("jacobi_anger_resynthesis", 1e-9, lambda: _bessel_sum_rules()[2]),
+    ("fresnel_oddness", 1e-15, lambda: np.max(np.abs(np.add(*_fresnel_at_pm_x())))),
+    ("fresnel_bound", 0.9, lambda: np.max(np.abs(_fresnel_at_pm_x()[0]))),
+    ("fresnel_vs_quadrature", 1e-10, _fresnel_vs_quadrature),
+    ("scaled_fresnel_identity", 1e-8, _scaled_fresnel_identity),
+    ("log_gamma_reflection", 1e-10, _log_gamma_reflection),
+    ("gamma_modulus_law", 1e-12, _gamma_modulus_law),
+    (
+        "stokes_phase_endpoints",
+        1e-7,
+        lambda: abs(sf.stokes_phase(0.0) - 0.25 * math.pi)
+        + abs(sf.stokes_phase(1e-9) - 0.25 * math.pi) / 10.0,
+    ),
+    ("weber_closed_forms", 1e-12, _weber_closed_forms),
+    ("weber_recurrence", 1e-7, _weber_recurrence),
+    ("cayley_klein_unitarity", 1e-9, _cayley_klein_unitarity),
+)
+
+
+def selftest(out=None) -> bool:
+    """Run SELFTEST_CHECKS and print a pass/fail table."""
+    out = out if out is not None else sys.stdout
     all_pass = True
-    for name, dev, tol in checks:
+    for name, tol, check in SELFTEST_CHECKS:
+        dev = float(check())
         ok = dev <= tol
         all_pass &= ok
         out.write(f"{'PASS' if ok else 'FAIL'}  {name:<36s} dev={dev:.3e} tol={tol:.1e}\n")

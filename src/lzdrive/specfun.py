@@ -535,8 +535,8 @@ def weber_d(nu, z) -> complex:
 
     Relative error <= 1e-8 over the validated box |z| <= 60,
     max(|Re nu|, |Im nu|) <= 3; arguments outside it raise DomainError,
-    and internal cancellation beyond the guard or a subnormal result raises
-    AccuracyError rather than returning silent garbage.
+    and internal cancellation beyond the guard or a subnormal or underflowed
+    result raises AccuracyError rather than returning silent garbage.
     """
     nu = complex(nu)
     z = complex(z)
@@ -560,8 +560,9 @@ def weber_d(nu, z) -> complex:
         raise AccuracyError(f"weber_d overflow at nu={nu}, z={z}") from None
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise AccuracyError(f"weber_d overflow at nu={nu}, z={z}")
-    if 0.0 < abs(out) < sys.float_info.min:
-        # subnormal results keep too few significant bits for the contract;
-        # a clean underflow to zero is returned as 0
-        raise AccuracyError(f"weber_d subnormal result at nu={nu}, z={z}")
+    if abs(out) < sys.float_info.min:
+        # subnormal results keep too few significant bits for the contract,
+        # and an underflow to zero keeps none; true zeros of D already
+        # refuse through the cancellation guard
+        raise AccuracyError(f"weber_d underflow at nu={nu}, z={z}")
     return out

@@ -8,6 +8,7 @@ import pytest
 from lzdrive.cli import main as cli_main
 from lzdrive.errors import ConfigError
 from lzdrive.harness import (
+    SELFTEST_CHECKS,
     SweepSpec,
     parse_config,
     parse_sweep,
@@ -31,7 +32,6 @@ phase = 0
 
 def test_parse_config_defaults():
     spec = parse_config("")
-    assert spec.mode == "trace"
     assert (spec.tau_start, spec.tau_end) == (-50.0, 50.0)
     assert spec.tol == 1e-10
     assert spec.stride == 0.1
@@ -74,6 +74,10 @@ def test_parse_config_errors():
         parse_config("tau_start = 5\ntau_end = -5\n")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config("just some words\n")
+    with pytest.raises(ConfigError, match="unknown config key 'mode'"):
+        parse_config("mode = trace\n")
+    with pytest.raises(ConfigError, match=r"tol must lie in \[1e-13, 1e-06\]"):
+        parse_config("tol = 1e-5\n")
 
 
 def test_parse_sweep_forms():
@@ -228,11 +232,15 @@ def test_run_compare_validation():
 
 def test_selftest_passes(capsys):
     assert selftest()
-    outp = capsys.readouterr().out
-    assert "all checks passed" in outp
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[:2] for ln in lines[:-1]] == [["PASS", c[0]] for c in SELFTEST_CHECKS]
+    assert lines[-1] == "all checks passed"
 
 
 def test_cli_end_to_end(tmp_path, capsys):
+    assert cli_main(["selftest"]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "delta = 0.07\nfreq_rf = 1\nfreq_mw = 2\n"
