@@ -4,8 +4,8 @@ periodic driving.
 
 Layers:
 
-- ``specfun``: self-contained special functions (Bessel, Fresnel, complex
-  log-gamma, Stokes phase, Weber parabolic cylinder).
+- ``specfun``: special functions (Bessel, Fresnel, complex log-gamma over
+  ``scipy.special``; Stokes phase and the Weber parabolic cylinder function).
 - ``model``: drive parameters, field vector, Hamiltonian, harmonic
   bookkeeping.
 - ``integrate``: adaptive Runge-Kutta propagation of the Schrodinger

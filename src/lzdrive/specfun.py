@@ -1,10 +1,12 @@
-"""Self-contained special functions backing the analytic transition formulas.
+"""Special functions backing the analytic transition formulas.
 
-Everything here is pure double precision with no external special-function
-dependency: Bessel J_n (Miller backward recurrence), Fresnel integrals
-(piecewise Taylor tables plus auxiliary asymptotics), the principal-branch
-complex log-gamma (Lanczos with downward recursion), the Stokes phase, and
-Weber's parabolic cylinder function D_nu(z) for complex order and argument.
+Bessel J_n, the Fresnel integrals for |x| <= 4 and the principal-branch
+complex log-gamma are thin wrappers over ``scipy.special`` that keep this
+module's accuracy contracts and typed refusals where scipy would return NaN
+or a degraded value.  The Fresnel integrals for |x| > 4 (auxiliary
+asymptotics with an exact phase split), the Stokes phase, and Weber's
+parabolic cylinder function D_nu(z) for complex order and argument, which
+scipy does not provide, are evaluated here in double precision.
 
 All functions are deterministic and stateless; array broadcasting is
 supported where the callers need it (Bessel sequences, Fresnel).
@@ -18,6 +20,7 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
+from scipy import special
 
 from .errors import AccuracyError, DomainError
 
@@ -35,7 +38,6 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -43,64 +45,29 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # ---------------------------------------------------------------------------
 
 _BESSEL_MAX_ORDER = 10_000
-_BESSEL_MAX_START = 200_000
-_RESCALE_LIMIT = 1e250
+# J_n is validated for |x| <= 100; this bound sits where the former Miller
+# recurrence refused, so every argument it evaluated still evaluates
+_BESSEL_MAX_ARG = 199_079.0
 
 
-def _miller_sequence(n_max: int, x: float) -> np.ndarray:
-    """J_0(x) .. J_{n_max}(x) for x > 0 by backward recurrence.
-
-    Normalized with J_0 + 2*sum_k J_{2k} = 1.  Values are rescaled on the
-    way down so the recurrence cannot overflow silently.
-    """
-    top = max(n_max, int(x))
-    start = top + 30 + int(2.0 * math.sqrt(top + 10.0))
-    if start % 2:
-        start += 1
-    if start > _BESSEL_MAX_START:
-        raise AccuracyError(
-            f"bessel_j recurrence start index {start} exceeds the supported "
-            f"limit; argument/order too large for validated accuracy"
-        )
-    out = np.zeros(n_max + 1)
-    jp = 0.0  # J_{k+1}
-    jc = 1e-30  # J_k (arbitrary seed)
-    norm = 0.0
-    for k in range(start, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp = jc
-        jc = jm
-        if k - 1 <= n_max:
-            out[k - 1] = jc
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += 2.0 * jc
-        if abs(jc) > _RESCALE_LIMIT:
-            jc *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            out *= 1e-250
-    norm += jc  # adds J_0
-    out /= norm
-    return out
-
-
-def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
-    """Array [J_0(x), J_1(x), ..., J_{n_max}(x)]."""
+def _check_bessel(n_max: int, x: float) -> None:
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
     if n_max > _BESSEL_MAX_ORDER:
         raise DomainError(f"Bessel order {n_max} outside validated range")
     if not math.isfinite(x):
         raise DomainError("Bessel argument must be finite")
-    ax = abs(x)
-    if ax == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    seq = _miller_sequence(n_max, ax)
-    if x < 0.0:
-        seq = seq * np.where(np.arange(n_max + 1) % 2 == 0, 1.0, -1.0)
-    return seq
+    if abs(x) >= _BESSEL_MAX_ARG:
+        raise AccuracyError(
+            f"bessel_j argument |x|={abs(x):.6g} exceeds the supported limit "
+            f"{_BESSEL_MAX_ARG:g} for validated accuracy"
+        )
+
+
+def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
+    """Array [J_0(x), J_1(x), ..., J_{n_max}(x)]."""
+    _check_bessel(n_max, x)
+    return special.jv(np.arange(n_max + 1), x)
 
 
 def bessel_j(n: int, x: float) -> float:
@@ -110,12 +77,8 @@ def bessel_j(n: int, x: float) -> float:
     |x| <= 100.
     """
     n = int(n)
-    m = abs(n)
-    sign = 1.0
-    if n < 0 and m % 2 == 1:
-        sign = -sign
-    val = bessel_j_sequence(m, x)[m]
-    return sign * val
+    _check_bessel(abs(n), x)
+    return special.jv(n, x)
 
 
 # ---------------------------------------------------------------------------
@@ -128,34 +91,8 @@ class FresnelPair(NamedTuple):
     s: float
 
 
-_FR_STEP = 0.25
 _FR_EDGE = 4.0
-_FR_NANCHOR = int(_FR_EDGE / _FR_STEP) + 1  # anchors 0, 0.25, ..., 4.0
-_FR_TERMS = 40
 _FR_ASYM_TERMS = 12
-
-
-def _fresnel_tables():
-    """Taylor coefficients of exp(i*pi*t^2/2) at each anchor, plus the
-    accumulated integral value at each anchor."""
-    coef = np.zeros((_FR_NANCHOR, _FR_TERMS), dtype=complex)
-    vals = np.zeros(_FR_NANCHOR, dtype=complex)
-    ipi = 1j * math.pi
-    for j in range(_FR_NANCHOR):
-        a = j * _FR_STEP
-        t = np.zeros(_FR_TERMS, dtype=complex)
-        t[0] = cmath.exp(0.5j * math.pi * a * a)
-        t[1] = ipi * a * t[0]
-        for k in range(1, _FR_TERMS - 1):
-            t[k + 1] = ipi * (a * t[k] + t[k - 1]) / (k + 1)
-        coef[j] = t
-    powers = _FR_STEP ** np.arange(1, _FR_TERMS + 1) / np.arange(1, _FR_TERMS + 1)
-    for j in range(1, _FR_NANCHOR):
-        vals[j] = vals[j - 1] + coef[j - 1] @ powers
-    return coef, vals
-
-
-_FR_COEF, _FR_VALS = _fresnel_tables()
 
 
 def _dfact_series(kind: int, n: int) -> np.ndarray:
@@ -206,17 +143,7 @@ def fresnel(x):
     mid = ~small & ~huge
 
     if small.any():
-        v = ax[small]
-        j = np.minimum((v / _FR_STEP).astype(int), _FR_NANCHOR - 1)
-        d = v - j * _FR_STEP
-        coef = _FR_COEF[j]  # (m, K)
-        # integral of sum T_k d^k is sum T_k d^(k+1)/(k+1); Horner in d
-        acc = np.zeros(v.shape, dtype=complex)
-        for k in range(_FR_TERMS - 1, -1, -1):
-            acc = acc * d + coef[:, k] / (k + 1)
-        w = _FR_VALS[j] + acc * d
-        c[small] = w.real
-        s[small] = w.imag
+        s[small], c[small] = special.fresnel(ax[small])
     if mid.any():
         v = ax[mid]
         u = 1.0 / (math.pi * v * v)
@@ -266,53 +193,30 @@ def scaled_fresnel(x):
 # Complex log-gamma (principal branch) and the Stokes phase
 # ---------------------------------------------------------------------------
 
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
-def _lanczos_log_gamma(z: complex) -> complex:
-    """Principal-branch log Gamma for Re z >= 0.5."""
-    w = z - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (w + k)
-    t = w + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
 def log_gamma(z) -> complex:
     """Principal branch of log Gamma(z), continuous off the negative real axis.
 
-    For Re z < 1/2 the value is built by downward recursion
-    log Gamma(z) = log Gamma(z + m) - sum log(z + j), which preserves the
-    principal branch.  Poles (non-positive integers) raise DomainError.
+    On the cut itself the value is the limit from above, whatever the sign
+    of a zero imaginary part.  Absolute error <= 1e-12 for |z| <= 50.
+    Poles (non-positive integers) raise DomainError.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError("log_gamma argument must be finite")
     if _is_nonpositive_integer(z):
         raise DomainError(f"log_gamma pole at z = {z.real:g}")
-    if z.real >= 0.5:
-        return _lanczos_log_gamma(z)
-    m = int(math.ceil(0.5 - z.real))
-    shift = 0.0 + 0.0j
-    for j in range(m):
-        shift += cmath.log(z + j)
-    return _lanczos_log_gamma(z + m) - shift
+    # scipy takes a -0.0 imaginary part to the lower side of the cut
+    z = complex(z.real, z.imag + 0.0)
+    if abs(z) < sys.float_info.min:
+        # scipy is off by up to 0.05 at subnormal |z|, where
+        # log Gamma(z) = -log z - euler_gamma z + O(z^2) is -log z in double
+        return -cmath.log(z)
+    return complex(special.loggamma(z))
 
 
 def reciprocal_gamma(z) -> complex:
@@ -537,6 +441,10 @@ def weber_d(nu, z) -> complex:
     max(|Re nu|, |Im nu|) <= 3; arguments outside it raise DomainError,
     and internal cancellation beyond the guard or a subnormal or underflowed
     result raises AccuracyError rather than returning silent garbage.
+    Overflow raises AccuracyError too, with a margin: in the left half-plane
+    the two connection terms can overflow before their sum does, so some
+    representable results refuse (nu = -2.557+2.204i, z = -14.62+55.66i,
+    |D| ~ 8.1e306).
     """
     nu = complex(nu)
     z = complex(z)

@@ -1,9 +1,11 @@
 """Special-function checks against independent oracles.
 
-Oracles used here are deliberately different algorithms from the package:
-truncated defining power series (Bessel, Weber at the origin), adaptive
-quadrature of the defining integrals (Fresnel), and the Weierstrass product
-series plus a shifted Stirling-Bernoulli expansion (log-gamma).
+Oracles used here are deliberately different algorithms from the package
+and from the ``scipy.special`` routines behind it: truncated defining power
+series (Bessel, Weber at the origin), adaptive quadrature of the defining
+integrals (Fresnel), and the Weierstrass product series plus a shifted
+Stirling-Bernoulli expansion (log-gamma).  ``test_specfun_fuzz.py`` checks
+the same contracts over their whole domains against mpmath.
 
 The identity checks that ``lzdrive selftest`` prints (Bessel sum rules and
 Jacobi-Anger, Fresnel oddness, bound and quadrature, the scaled-Fresnel
@@ -22,6 +24,7 @@ from lzdrive.errors import AccuracyError, DomainError
 from lzdrive.harness import SELFTEST_CHECKS
 from lzdrive.specfun import (
     bessel_j,
+    bessel_j_sequence,
     fresnel,
     log_gamma,
     reciprocal_gamma,
@@ -124,6 +127,10 @@ def test_selftest_check(name, tol, check):
 def test_bessel_trivial_values():
     assert bessel_j(0, 0.0) == 1.0
     assert bessel_j(3, 0.0) == 0.0
+    # tiny arguments: J_0 -> 1 and J_1 ~ x/2, never NaN
+    assert bessel_j(0, 1e-300) == 1.0
+    assert bessel_j(1, 1e-300) == pytest.approx(5e-301, rel=1e-12)
+    assert np.all(np.isfinite(bessel_j_sequence(3, -1e-200)))
 
 
 def test_bessel_first_j0_zero():
@@ -166,6 +173,9 @@ def test_bessel_domain_errors():
         bessel_j(0, math.inf)
     with pytest.raises(AccuracyError):
         bessel_j(0, 1e7)
+    with pytest.raises(AccuracyError):
+        bessel_j_sequence(2, -199_079.0)
+    assert math.isfinite(bessel_j(0, 199_078.9))
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +189,11 @@ def test_fresnel_trivial_values():
     c, s = fresnel(1e6)
     assert c == pytest.approx(0.5, abs=1e-6)
     assert s == pytest.approx(0.5, abs=1e-6)
+    for x in (1e300, math.inf):
+        assert fresnel(x) == (0.5, 0.5)
+        assert fresnel(-x) == (-0.5, -0.5)
+    with pytest.raises(DomainError):
+        fresnel(math.nan)
 
 
 def test_fresnel_reference_point():
@@ -230,7 +245,7 @@ def test_log_gamma_against_stirling_oracle_grid():
 
 
 def test_log_gamma_pole_errors():
-    for z in (0.0, -1.0, -7.0):
+    for z in (0.0, -1.0, -7.0, complex(math.inf, 0.0), complex(1.0, math.nan)):
         with pytest.raises(DomainError):
             log_gamma(z)
     assert reciprocal_gamma(-3.0) == 0.0
@@ -312,6 +327,11 @@ def test_weber_domain_errors():
     # returning a silent 0 with relative error 1
     with pytest.raises(AccuracyError):
         weber_d(0.0, 59.9)
+    # |D| ~ 8.1e306 is representable here, but the left-half-plane
+    # reflection's intermediate terms overflow first: the documented margin
+    # refuses instead of returning inf
+    with pytest.raises(AccuracyError):
+        weber_d(complex(-2.557, 2.204), complex(-14.62, 55.66))
 
 
 def test_weber_subnormal_result_refuses_or_meets_contract():
