@@ -115,12 +115,11 @@ def resonance_index(alpha: int, cfg: DriveConfig) -> int:
     """Photon index n_alpha = -(eps0 + alpha*omega_f)/omega at multiphoton
     resonance; raises OffResonanceError when the ratio is not an integer to
     within 1e-6."""
-    if alpha not in ALPHAS:
-        raise DomainError(f"alpha must be -1, 0 or +1, got {alpha}")
     c = cfg.reduced()
+    offset = level_offset(HarmonicIndex(0, alpha), c)
     if c.freq_rf <= 0.0:
         raise OffResonanceError("resonance index needs freq_rf > 0")
-    ratio = -(c.eps0 + alpha * c.freq_mw) / c.freq_rf
+    ratio = -offset / c.freq_rf
     n = round(ratio)
     if abs(ratio - n) > _RES_TOL:
         raise OffResonanceError(
@@ -261,38 +260,24 @@ def single_passage_propagator(cfg: DriveConfig) -> PassagePropagator:
 def weak_drive_probabilities(cfg: DriveConfig) -> tuple[float, float]:
     """(p_up, p_dn) after one passage, via the four-path interference sum.
 
-    Each path amplitude is a product of |a| and |b| moduli; each relative
-    phase combines passage-phase and Stokes-phase differences.  Numerically
-    identical to |c|^2 of the single-passage propagator."""
-    branches = {}
+    Each path amplitude is a product of the moduli |a| and |b| of the
+    photon-index-0 transfer matrices; each relative phase combines
+    passage-phase and Stokes-phase (chi = -arg b) differences.  Numerically
+    identical to |c|^2 of the single-passage propagator.  A branch with
+    b = 0 has no Stokes phase, but every path that would use it carries
+    the factor |b| = 0."""
+    branches = []
     for alpha in ALPHAS:
-        j = effective_coupling(HarmonicIndex(0, alpha), cfg)
-        d = j * j
-        a = math.exp(-math.pi * d)
-        branches[alpha] = (
-            a,
-            math.sqrt(max(0.0, 1.0 - a * a)),
-            passage_phase(HarmonicIndex(0, alpha), cfg),
-            stokes_phase(d),
-        )
-    am, bm, pm, cm = branches[-1]
-    a0, b0, p0, c0 = branches[0]
-    ap, bp, pp, cp = branches[1]
-    amp = (
-        am * a0 * ap,
-        -(bm * b0 * ap),
-        -(am * b0 * bp),
-        -(bm * a0 * bp),
-    )
+        tm = transfer_matrix(HarmonicIndex(0, alpha), cfg)
+        branches.append((tm.ck.a.real, abs(tm.ck.b), tm.psi, -cmath.phase(tm.ck.b)))
+    (am, bm, pm, cm), (a0, b0, p0, c0), (ap, bp, pp, cp) = branches
+    amp = (am * a0 * ap, -(bm * b0 * ap), -(am * b0 * bp), -(bm * a0 * bp))
     xi2 = (p0 - pm) - (c0 - cm)
     xi3 = (p0 - pp) - (c0 - cp)
     xi4 = (pm - pp) - (cm - cp)
     # xi2 enters the amplitude sum with the opposite sign of the other two
     ph = (0.0, -xi2, xi3, xi4)
-    p_up = 0.0
-    for j in range(4):
-        for k in range(4):
-            p_up += amp[j] * amp[k] * math.cos(ph[j] - ph[k])
+    p_up = abs(sum(m * cmath.exp(1j * p) for m, p in zip(amp, ph))) ** 2
     p_up = min(1.0, max(0.0, p_up))
     return p_up, 1.0 - p_up
 

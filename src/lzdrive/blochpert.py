@@ -20,8 +20,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .model import ALPHAS, DriveConfig, HarmonicIndex, level_offset, passage_phase
-from .specfun import bessel_j_sequence, scaled_fresnel
+from .model import (
+    ALPHAS,
+    DriveConfig,
+    HarmonicIndex,
+    effective_coupling,
+    level_offset,
+    passage_phase,
+)
+from .specfun import bessel_j, scaled_fresnel
 
 __all__ = [
     "TruncationSpec",
@@ -104,49 +111,33 @@ def fg_kernels(x, xp):
 
 def _harmonic_grid(cfg: DriveConfig, trunc: TruncationSpec):
     """Couplings, offsets and passage phases on the (n, alpha) grid,
-    flattened to 1-D arrays of length 3*(2*n_max + 1)."""
+    flattened to 1-D arrays of length 3*(2*n_max + 1), plus the photon
+    indices n and their Bessel weights J_n(A/omega)."""
     trunc.validate_for(cfg)
-    c = cfg.reduced()
-    nmax = trunc.n_max
-    j_half = bessel_j_sequence(nmax, c.rf_ratio())
-    n = np.arange(-nmax, nmax + 1)
-    j_signed = np.where(
-        (n < 0) & (np.abs(n) % 2 == 1), -j_half[np.abs(n)], j_half[np.abs(n)]
-    )
-    couplings = []
-    offsets = []
-    phases = []
-    for alpha in ALPHAS:
-        strength = 2.0 * c.delta if alpha == 0 else c.amp_mw
-        couplings.append(0.25 * strength * j_signed)
-        off = c.eps0 + n * c.freq_rf + alpha * c.freq_mw
-        offsets.append(off)
-        phases.append(0.5 * off * off - alpha * c.phase)
+    n = np.arange(-trunc.n_max, trunc.n_max + 1)
+    branches = [HarmonicIndex(n, alpha) for alpha in ALPHAS]
     return (
-        np.concatenate(couplings),
-        np.concatenate(offsets),
-        np.concatenate(phases),
+        np.concatenate([effective_coupling(idx, cfg) for idx in branches]),
+        np.concatenate([level_offset(idx, cfg) for idx in branches]),
+        np.concatenate([passage_phase(idx, cfg) for idx in branches]),
         n,
-        j_signed,
+        bessel_j(n, cfg.reduced().rf_ratio()),
     )
 
 
-def _rotation_sums(t, offsets, phases, j_signed):
-    """a_c, a_s at the 1-D times t from the alpha = 0 third of a harmonic
-    grid, whose phase kernels are (t + offset)^2/2 - offset^2/2."""
-    m = j_signed.size
-    k = ALPHAS.index(0)
-    off = offsets[k * m : (k + 1) * m]
-    kern = 0.5 * (t[:, None] + off) ** 2 - phases[k * m : (k + 1) * m]
-    return np.sum(j_signed * np.cos(kern), axis=1), np.sum(j_signed * np.sin(kern), axis=1)
+def _rotation_sums(t, n, j_n, cfg: DriveConfig):
+    """a_c, a_s at the 1-D times t over the alpha = 0 phase kernels of the
+    photon indices n with Bessel weights j_n."""
+    kern = phase_kernel(t[:, None], HarmonicIndex(n, 0), cfg)
+    return np.sum(j_n * np.cos(kern), axis=1), np.sum(j_n * np.sin(kern), axis=1)
 
 
 def ac_as(tau, cfg: DriveConfig, trunc: TruncationSpec):
     """Longitudinal rotation sums a_c = sum_n J_n cos(K_n), a_s with sin,
     over the alpha = 0 phase kernels; broadcasts over tau."""
-    _, offsets, phases, _, j_signed = _harmonic_grid(cfg, trunc)
+    _, _, _, n, j_n = _harmonic_grid(cfg, trunc)
     tau = np.asarray(tau, dtype=float)
-    a_c, a_s = _rotation_sums(np.atleast_1d(tau), offsets, phases, j_signed)
+    a_c, a_s = _rotation_sums(np.atleast_1d(tau), n, j_n, cfg)
     if tau.ndim == 0:
         return float(a_c[0]), float(a_s[0])
     return a_c, a_s
@@ -160,7 +151,7 @@ def bloch_perturbative(tau, cfg: DriveConfig, trunc: TruncationSpec | None = Non
     as-is, not clamped."""
     if trunc is None:
         trunc = default_truncation(cfg)
-    couplings, offsets, phases, _, j_signed = _harmonic_grid(cfg, trunc)
+    couplings, offsets, phases, n, j_n = _harmonic_grid(cfg, trunc)
     tau = np.asarray(tau, dtype=float)
     scalar = tau.ndim == 0
     t = np.atleast_1d(tau)
@@ -168,7 +159,7 @@ def bloch_perturbative(tau, cfg: DriveConfig, trunc: TruncationSpec | None = Non
     lk, mk = lm_kernel(t[:, None] + offsets, phases)
     sum_l = np.sum(couplings[None, :] * lk, axis=1)
     sum_m = np.sum(couplings[None, :] * mk, axis=1)
-    a_c, a_s = _rotation_sums(t, offsets, phases, j_signed)
+    a_c, a_s = _rotation_sums(t, n, j_n, cfg)
 
     out = np.empty(t.shape + (3,))
     out[:, 0] = _TWO_SQRT_PI * (a_c * sum_l + a_s * sum_m)

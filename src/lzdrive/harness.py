@@ -139,12 +139,16 @@ _RUN_KEYS = _CFG_KEYS + ("tau_start", "tau_end", "tol", "stride", "n_max", "outp
 
 
 def _coerce_number(key: str, raw, line: int | None = None) -> float:
+    """float(raw); a bool, non-numeric text or a non-finite value refuses."""
     try:
-        return float(raw)
+        val = float(raw)
     except (TypeError, ValueError):
-        raise ConfigError(
-            f"value for '{key}' is not numeric: {raw!r}", key=key, line=line
-        ) from None
+        val = None
+    if val is None or isinstance(raw, bool):
+        raise ConfigError(f"value for '{key}' is not numeric: {raw!r}", key=key, line=line)
+    if not math.isfinite(val):
+        raise ConfigError(f"value for '{key}' must be finite: {raw!r}", key=key, line=line)
+    return val
 
 
 def _build_runspec(entries: dict, lines: dict | None = None) -> RunSpec:
@@ -160,8 +164,8 @@ def _build_runspec(entries: dict, lines: dict | None = None) -> RunSpec:
             run_kwargs["output_path"] = str(raw)
         elif key == "n_max":
             val = _coerce_number(key, raw, line)
-            if val != int(val):
-                raise ConfigError("n_max must be an integer", key=key, line=line)
+            if val < 1 or not val.is_integer():
+                raise ConfigError("n_max must be a positive integer", key=key, line=line)
             trunc = TruncationSpec(int(val))
         elif key in _CFG_KEYS:
             cfg_kwargs[key] = _coerce_number(key, raw, line)
@@ -318,22 +322,27 @@ def run_trace(spec: RunSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _final_populations(cfg: DriveConfig, spec: RunSpec) -> tuple[float, float]:
+    """(p_up, p_dn) at the end of the spec's window, sampled only there."""
+    tr = propagate_tdse(
+        cfg,
+        tau_start=spec.tau_start,
+        tau_end=spec.tau_end,
+        tol=spec.tol,
+        sample_stride=spec.tau_end - spec.tau_start,
+    )
+    return tr.final_populations()
+
+
 def _sweep_cell(args):
     """One grid cell; returns the formatted observable or an error marker."""
-    index, cfg_kwargs, observable, tau_start, tau_end, tol = args
+    index, cfg_kwargs, observable, spec = args
     try:
         cfg = DriveConfig(**cfg_kwargs)
         if observable == "delta_param":
             value = strong_drive_delta(cfg)
         else:
-            tr = propagate_tdse(
-                cfg,
-                tau_start=tau_start,
-                tau_end=tau_end,
-                tol=tol,
-                sample_stride=tau_end - tau_start,
-            )
-            p_up, p_dn = tr.final_populations()
+            p_up, p_dn = _final_populations(cfg, spec)
             value = {"p_up_final": p_up, "p_dn_final": p_dn, "uz_final": p_up - p_dn}[observable]
         return index, _fmt(value)
     except (ValueError, ArithmeticError, IntegrationError) as exc:
@@ -354,7 +363,7 @@ def run_sweep(spec: RunSpec, sweep: SweepSpec, workers: int = 1) -> str:
         kw[name1] = float(v1)
         if name2 is not None:
             kw[name2] = float(v2)
-        tasks.append((i, kw, sweep.observable, spec.tau_start, spec.tau_end, spec.tol))
+        tasks.append((i, kw, sweep.observable, spec))
     if workers == 1:
         results = [_sweep_cell(t) for t in tasks]
     else:
@@ -381,14 +390,7 @@ def run_sweep(spec: RunSpec, sweep: SweepSpec, workers: int = 1) -> str:
 
 
 def _final_population_samples(spec, analytic_pair):
-    tr = propagate_tdse(
-        spec.cfg,
-        tau_start=spec.tau_start,
-        tau_end=spec.tau_end,
-        tol=spec.tol,
-        sample_stride=spec.tau_end - spec.tau_start,
-    )
-    p_up, p_dn = tr.final_populations()
+    p_up, p_dn = _final_populations(spec.cfg, spec)
     a_up, a_dn = analytic_pair
     return [
         {"where": "p_up_final", "analytic": a_up, "numeric": p_up},
@@ -419,26 +421,15 @@ def _bloch_pert_samples(spec):
 
 
 def _zero_sweep_samples(spec, formula, t_max, n_pts):
-    taus = np.linspace(0.0, t_max, n_pts + 1)[1:]
+    """Formula vs numerics at the n_pts samples after t = 0, spaced t_max / n_pts."""
     tr = propagate_tdse(
-        spec.cfg,
-        tau_start=0.0,
-        tau_end=float(taus[-1]),
-        tol=spec.tol,
-        sample_stride=float(taus[0]),
+        spec.cfg, tau_start=0.0, tau_end=t_max, tol=spec.tol, sample_stride=t_max / n_pts
     )
-    pops = tr.populations()
     out = []
-    for t in taus:
-        k = int(np.argmin(np.abs(tr.taus - t)))
-        p_num = pops[k]
-        p_up, p_dn = formula(spec.cfg, float(tr.taus[k]))
-        out.append(
-            {"where": f"p_up@t={_fmt(tr.taus[k])}", "analytic": p_up, "numeric": float(p_num[0])}
-        )
-        out.append(
-            {"where": f"p_dn@t={_fmt(tr.taus[k])}", "analytic": p_dn, "numeric": float(p_num[1])}
-        )
+    for t, p_num in zip(tr.taus[1:], tr.populations()[1:]):
+        p_up, p_dn = formula(spec.cfg, float(t))
+        out.append({"where": f"p_up@t={_fmt(t)}", "analytic": p_up, "numeric": float(p_num[0])})
+        out.append({"where": f"p_dn@t={_fmt(t)}", "analytic": p_dn, "numeric": float(p_num[1])})
     return out
 
 
@@ -505,9 +496,8 @@ def _bessel_sum_rules():
     for _ in range(25):
         x = float(rng.uniform(0.0, 30.0))
         nmax = int(x) + 30
-        seq = sf.bessel_j_sequence(nmax, x)
         n = np.arange(-nmax, nmax + 1)
-        signed = np.where((n < 0) & (np.abs(n) % 2 == 1), -seq[np.abs(n)], seq[np.abs(n)])
+        signed = sf.bessel_j(n, x)
         y = float(rng.uniform(0.0, 2.0 * math.pi))
         resyn = np.sum(signed * np.exp(1j * n * y))
         dev = np.maximum(dev, [

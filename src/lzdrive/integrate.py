@@ -101,12 +101,14 @@ def _sample_grid(tau_start: float, tau_end: float, stride: float) -> np.ndarray:
 
 
 def _validate_window(tau_start, tau_end, tol, stride):
+    if not (math.isfinite(tau_start) and math.isfinite(tau_end)):
+        raise DomainError("tau_start and tau_end must be finite")
     if not (tau_start < tau_end):
         raise DomainError("tau_start must be < tau_end")
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise DomainError(f"tol must lie in [{_TOL_MIN:g}, {_TOL_MAX:g}]")
-    if stride <= 0.0:
-        raise DomainError("sample_stride must be positive")
+    if not (math.isfinite(stride) and stride > 0.0):
+        raise DomainError("sample_stride must be positive and finite")
 
 
 def _solve(rhs, y0, t0, t1, tol, t_eval):

@@ -114,7 +114,10 @@ class DriveConfig:
 
 class HarmonicIndex(NamedTuple):
     """Photon index n of the longitudinal drive and branch alpha in
-    {-1, 0, +1} labelling the transverse sub-crossing."""
+    {-1, 0, +1} labelling the transverse sub-crossing.
+
+    n may be an integer array; the harmonic functions below then return
+    one value per photon index of that branch."""
 
     n: int
     alpha: int
@@ -185,10 +188,7 @@ def level_offset(idx: HarmonicIndex, cfg: DriveConfig) -> float:
 def effective_coupling(idx: HarmonicIndex, cfg: DriveConfig) -> float:
     """Effective Rabi coupling of one harmonic: (branch coupling / 4) times
     J_n(A/omega)."""
-    _check_alpha(idx.alpha)
     c = cfg.reduced()
-    if c.amp_rf != 0.0 and c.freq_rf <= 0.0:
-        raise DomainError("freq_rf must be positive when amp_rf != 0")
     return 0.25 * coupling_strength(idx.alpha, c) * bessel_j(idx.n, c.rf_ratio())
 
 

@@ -9,7 +9,7 @@ parabolic cylinder function D_nu(z) for complex order and argument, which
 scipy does not provide, are evaluated here in double precision.
 
 All functions are deterministic and stateless; array broadcasting is
-supported where the callers need it (Bessel sequences, Fresnel).
+supported where the callers need it (Bessel orders, Fresnel).
 """
 
 from __future__ import annotations
@@ -50,11 +50,18 @@ _BESSEL_MAX_ORDER = 10_000
 _BESSEL_MAX_ARG = 199_079.0
 
 
-def _check_bessel(n_max: int, x: float) -> None:
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    if n_max > _BESSEL_MAX_ORDER:
-        raise DomainError(f"Bessel order {n_max} outside validated range")
+def bessel_j(n, x: float):
+    """Bessel function of the first kind, integer order.
+
+    n is an integer or an integer array; an array of orders returns the
+    array [J_n(x)] of the same shape, and the largest |n| must be in range.
+    Satisfies J_{-n}(x) = (-1)^n J_n(x); absolute error <= 1e-12 for
+    |x| <= 100.
+    """
+    order = np.asarray(n, dtype=int)
+    top = int(abs(order).max(initial=0))
+    if top > _BESSEL_MAX_ORDER:
+        raise DomainError(f"Bessel order {top} outside validated range")
     if not math.isfinite(x):
         raise DomainError("Bessel argument must be finite")
     if abs(x) >= _BESSEL_MAX_ARG:
@@ -62,23 +69,14 @@ def _check_bessel(n_max: int, x: float) -> None:
             f"bessel_j argument |x|={abs(x):.6g} exceeds the supported limit "
             f"{_BESSEL_MAX_ARG:g} for validated accuracy"
         )
+    return special.jv(order, x)
 
 
 def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
     """Array [J_0(x), J_1(x), ..., J_{n_max}(x)]."""
-    _check_bessel(n_max, x)
-    return special.jv(np.arange(n_max + 1), x)
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind, integer order.
-
-    Satisfies J_{-n}(x) = (-1)^n J_n(x); absolute error <= 1e-12 for
-    |x| <= 100.
-    """
-    n = int(n)
-    _check_bessel(abs(n), x)
-    return special.jv(n, x)
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    return bessel_j(np.arange(n_max + 1), x)
 
 
 # ---------------------------------------------------------------------------

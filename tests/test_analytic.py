@@ -1,6 +1,7 @@
 """Closed-form results against algebraic identities and numeric oracles."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -268,6 +269,17 @@ def test_weak_drive_probabilities_identity():
         assert abs(p_up - abs(pp.c) ** 2) <= 1e-10
         assert p_up + p_dn == pytest.approx(1.0, abs=0.0)
     assert weak_drive_probabilities(DriveConfig(freq_rf=1.0, freq_mw=1.0)) == (1.0, 0.0)
+    # exactly one branch (alpha = 0) with b = 0: no coupling, or one so small
+    # that 1 - a^2 rounds to 0; its Stokes phase must not leak into the sum
+    rng = np.random.default_rng(43)
+    for delta in (0.0, 1e-12):
+        for _ in range(20):
+            cfg = dataclasses.replace(random_weak_config(rng), delta=delta)
+            assert cfg.amp_mw > 0.0
+            assert transfer_matrix(HarmonicIndex(0, 0), cfg).ck.b == 0.0
+            p_up, p_dn = weak_drive_probabilities(cfg)
+            assert abs(p_up - abs(single_passage_propagator(cfg).c) ** 2) <= 1e-10
+            assert p_up + p_dn == pytest.approx(1.0, abs=0.0)
 
 
 def test_weak_drive_against_numerics_spotcheck():

@@ -1,6 +1,7 @@
 """Config parsing, trace/sweep export, comparison reports, CLI."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -78,6 +79,21 @@ def test_parse_config_errors():
         parse_config("mode = trace\n")
     with pytest.raises(ConfigError, match=r"tol must lie in \[1e-13, 1e-06\]"):
         parse_config("tol = 1e-5\n")
+    for key, raw in (("stride", "nan"), ("stride", "inf"), ("n_max", "nan"),
+                     ("n_max", "inf"), ("tau_start", "-inf"), ("tau_end", "inf"),
+                     ("delta", "-inf")):
+        with pytest.raises(ConfigError, match="must be finite") as err:
+            parse_config(f"freq_rf = 1\n{key} = {raw}\n")
+        assert (err.value.key, err.value.line) == (key, 2)
+    for raw in ("0", "-3"):
+        with pytest.raises(ConfigError, match="positive integer") as err:
+            parse_config(f"n_max = {raw}\n")
+        assert err.value.key == "n_max"
+    with pytest.raises(ConfigError, match="not numeric") as err:
+        parse_config('{"delta": true}')
+    assert err.value.key == "delta"
+    with pytest.raises(ConfigError, match="must be finite"):
+        parse_config('{"stride": NaN}')
 
 
 def test_parse_sweep_forms():
@@ -102,6 +118,18 @@ def test_parse_sweep_forms():
                     "axis1_steps = 2.9\nobservable = p_up_final\n")
     doc["axis2"]["steps"] = 2.9
     with pytest.raises(ConfigError, match="integer"):
+        parse_sweep(json.dumps(doc))
+    with pytest.raises(ConfigError, match="must be finite") as err:
+        parse_sweep("axis1_field = delta\naxis1_min = nan\naxis1_max = 1\n"
+                    "axis1_steps = 2\nobservable = p_up_final\n")
+    assert (err.value.key, err.value.line) == ("axis1_min", 2)
+    doc["axis2"]["steps"] = 2
+    doc["axis1"]["max"] = math.inf
+    with pytest.raises(ConfigError, match="must be finite") as err:
+        parse_sweep(json.dumps(doc))
+    assert err.value.key == "axis1_max"
+    doc["axis1"]["max"] = True
+    with pytest.raises(ConfigError, match="not numeric"):
         parse_sweep(json.dumps(doc))
     with pytest.raises(ConfigError):
         SweepSpec(("delta", 0.0, 1.0, 1), None, "p_up_final")
@@ -271,6 +299,15 @@ def test_cli_end_to_end(tmp_path, capsys):
     bad.write_text("v = -1\n")
     assert cli_main(["trace", "--config", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+    for text in ("stride = nan\n", "stride = inf\n", "n_max = 0\n", "tau_end = inf\n",
+                 '{"delta": true}'):
+        bad.write_text(text)
+        assert cli_main(["trace", "--config", str(bad)]) == 1, text
+        assert "config error" in capsys.readouterr().err
+    bad.write_text("axis1_field = delta\naxis1_min = nan\naxis1_max = 0.1\n"
+                   "axis1_steps = 2\nobservable = delta_param\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--sweep", str(bad)]) == 1
+    assert "[key: axis1_min] [line: 2]" in capsys.readouterr().err
 
     # method precondition failure -> exit 2
     assert cli_main(["compare", "--config", str(cfg), "--method", "rabi",

@@ -174,6 +174,13 @@ def test_window_and_state_validation():
         propagate_tdse(DriveConfig(), tol=1e-3)
     with pytest.raises(DomainError):
         propagate_tdse(DriveConfig(), sample_stride=0.0)
+    for window in (dict(tau_start=-math.inf), dict(tau_end=math.inf),
+                   dict(tau_start=math.nan), dict(sample_stride=math.inf),
+                   dict(sample_stride=math.nan)):
+        with pytest.raises(DomainError):
+            propagate_tdse(DriveConfig(), **window)
+        with pytest.raises(DomainError):
+            propagate_bloch(DriveConfig(), **window)
     with pytest.raises(DomainError):
         propagate_tdse(DriveConfig(), psi0=np.array([1.0, 1.0], dtype=complex))
     with pytest.raises(DomainError):

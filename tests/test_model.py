@@ -7,6 +7,7 @@ import pytest
 
 from lzdrive.errors import ConfigError, DomainError
 from lzdrive.model import (
+    ALPHAS,
     DriveConfig,
     HarmonicIndex,
     effective_coupling,
@@ -160,6 +161,18 @@ def test_effective_coupling_parity():
             plus = effective_coupling(HarmonicIndex(n, alpha), cfg)
             minus = effective_coupling(HarmonicIndex(-n, alpha), cfg)
             assert minus == pytest.approx((-1.0) ** n * plus, abs=1e-15)
+
+
+def test_harmonic_functions_broadcast_over_photon_index():
+    n = np.arange(-5, 6)
+    cfg = DriveConfig(v=2.3, delta=0.11, eps0=0.7, amp_rf=3.0, freq_rf=1.7,
+                      amp_mw=0.09, freq_mw=1.3, phase=0.4)
+    for alpha in ALPHAS:
+        for fn in (effective_coupling, level_offset, passage_phase):
+            got = fn(HarmonicIndex(n, alpha), cfg)
+            want = np.array([fn(HarmonicIndex(int(k), alpha), cfg) for k in n])
+            assert got.shape == n.shape
+            assert got.tobytes() == want.tobytes(), (fn.__name__, alpha)
 
 
 def test_passage_phase_values():

@@ -166,6 +166,19 @@ def test_bessel_negative_order_parity():
         assert bessel_j(-n, x) == pytest.approx((-1.0) ** n * bessel_j(n, x), abs=1e-14)
 
 
+def test_bessel_broadcasts_over_orders():
+    n = np.arange(-60, 61)
+    for x in (-37.5, 0.0, 1e-80, 2.404826, 99.0):
+        got = bessel_j(n, x)
+        assert got.shape == n.shape
+        assert got.tobytes() == np.array([bessel_j(int(k), x) for k in n]).tobytes()
+    assert bessel_j(n.reshape(11, 11), 3.0).tobytes() == bessel_j(n, 3.0).tobytes()
+    with pytest.raises(DomainError):
+        bessel_j(np.array([0, 3, -10_001]), 1.0)
+    with pytest.raises(AccuracyError):
+        bessel_j(np.arange(3), 1e7)
+
+
 def test_bessel_domain_errors():
     with pytest.raises(DomainError):
         bessel_j(10_001, 1.0)
