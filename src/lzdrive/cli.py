@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("trace", help="propagate one config and export the trajectory CSV")
     t.add_argument("--config", required=True, help="run config file (key=value or JSON)")
-    t.add_argument("--out", default=None, help="output CSV path (default: config's output, else stdout)")
+    t.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
     s = sub.add_parser("sweep", help="evaluate an observable over a parameter grid")
     s.add_argument("--config", required=True)
@@ -74,16 +74,15 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return 0 if selftest() else 2
         spec = parse_config(_read(args.config))
-        out_path = args.out if args.out is not None else spec.output_path
         if args.command == "trace":
-            _write(out_path, run_trace(spec))
+            _write(args.out, run_trace(spec))
             return 0
         if args.command == "sweep":
             sweep = parse_sweep(_read(args.sweep))
-            _write(out_path, run_sweep(spec, sweep, workers=args.workers))
+            _write(args.out, run_sweep(spec, sweep, workers=args.workers))
             return 0
         report = run_compare(spec, args.method, args.threshold)
-        _write(out_path, report.to_json())
+        _write(args.out, report.to_json())
         if not report.passed:
             sys.stderr.write(
                 f"compare FAILED: max_abs_dev={report.max_abs_dev:.6g} > "

@@ -1,23 +1,24 @@
 """Run configuration, sweep execution, comparison reports, and data export.
 
-Two config syntaxes (flat ``key = value`` lines and JSON) map onto one
-validated RunSpec.  Sweeps run cell-by-cell with optional process
-parallelism; the output grid is assembled in row-major axis order before
-writing, so the bytes do not depend on the worker count.  Comparison runs
-pit a closed-form method against direct numerical propagation and emit a
-JSON report with per-point deviations.
+Two config syntaxes (flat ``key = value`` lines and JSON) go through one
+front end onto a validated RunSpec or SweepSpec.  A sweep is the product of
+its axes: one flat list of cells in row-major order, evaluated with ``map``
+or a process pool's ``map``, both of which keep that order, so the bytes do
+not depend on the worker count.  Comparison runs pit a closed-form method
+against direct numerical propagation and emit a JSON report with per-point
+deviations.
 """
 
 from __future__ import annotations
 
 import cmath
-import io
+import itertools
 import json
 import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -52,16 +53,32 @@ __all__ = [
     "OBSERVABLES",
 ]
 
-_CFG_KEYS = ("v", "delta", "eps0", "amp_rf", "freq_rf", "amp_mw", "freq_mw", "phase")
+_CFG_KEYS = tuple(f.name for f in fields(DriveConfig))
 _FLOAT_FMT = ".17g"
 
 COMPARE_METHODS = ("strong_drive", "weak_drive", "bloch_pert", "rabi", "inverse_lz")
 OBSERVABLES = ("p_up_final", "p_dn_final", "uz_final", "delta_param")
 
 
+def _coerce_number(key: str, raw) -> float:
+    """float(raw); a bool, non-numeric text or a non-finite value refuses."""
+    try:
+        val = float(raw)
+    except (TypeError, ValueError):
+        val = None
+    if val is None or isinstance(raw, bool):
+        raise ConfigError(f"value for '{key}' is not numeric: {raw!r}", key=key)
+    if not math.isfinite(val):
+        raise ConfigError(f"value for '{key}' must be finite: {raw!r}", key=key)
+    return val
+
+
 @dataclass
 class RunSpec:
-    """One validated run: physical config plus window/integrator settings."""
+    """One validated run: physical config plus window/integrator settings.
+
+    The window, tol and stride are coerced with the parser's number rules,
+    so a spec built directly refuses the same values as a parsed one."""
 
     cfg: DriveConfig = field(default_factory=DriveConfig)
     tau_start: float = -50.0
@@ -69,9 +86,10 @@ class RunSpec:
     tol: float = 1e-10
     stride: float = 0.1
     trunc: TruncationSpec | None = None
-    output_path: str | None = None
 
     def __post_init__(self):
+        for key in ("tau_start", "tau_end", "tol", "stride"):
+            setattr(self, key, _coerce_number(key, getattr(self, key)))
         if not (self.tau_start < self.tau_end):
             raise ConfigError("window must be ordered: tau_start < tau_end", key="tau_start")
         if self.stride <= 0.0:
@@ -83,37 +101,53 @@ class RunSpec:
         return self.trunc if self.trunc is not None else default_truncation(self.cfg)
 
 
+_AXES = ("axis1", "axis2")
+
+
 @dataclass
 class SweepSpec:
-    """Grid over one or two DriveConfig fields and one observable."""
+    """Grid over one or two distinct DriveConfig fields and one observable.
+
+    An axis is (field, min, max, steps); its numbers are coerced like the
+    parser's, and errors name the parser's keys (axis1_min, axis2_steps, ...)."""
 
     axis1: tuple[str, float, float, int]
     axis2: tuple[str, float, float, int] | None
     observable: str
 
     def __post_init__(self):
-        for ax in (self.axis1, self.axis2):
-            if ax is None:
+        if self.axis1 is None:
+            raise ConfigError("sweep spec needs axis1_field/min/max/steps")
+        for prefix in _AXES:
+            if getattr(self, prefix) is None:
                 continue
-            name, lo, hi, steps = ax
+            name, lo, hi, steps = getattr(self, prefix)
+            key = f"{prefix}_field"
             if name not in _CFG_KEYS:
-                raise ConfigError(f"unknown sweep field '{name}'", key=name)
-            if int(steps) < 2:
-                raise ConfigError("sweep steps must be >= 2", key=name)
+                raise ConfigError(f"unknown sweep field '{name}'", key=key)
+            if prefix == "axis2" and name == self.axis1[0]:
+                raise ConfigError(f"axis1 and axis2 both sweep '{name}'", key=key)
+            lo = _coerce_number(f"{prefix}_min", lo)
+            hi = _coerce_number(f"{prefix}_max", hi)
+            key = f"{prefix}_steps"
+            n = _coerce_number(key, steps)
+            if not n.is_integer():
+                raise ConfigError(f"{key} must be an integer, got {steps!r}", key=key)
+            if n < 2:
+                raise ConfigError("sweep steps must be >= 2", key=key)
+            setattr(self, prefix, (name, lo, hi, int(n)))
+        if self.observable is None:
+            raise ConfigError("sweep spec needs an observable", key="observable")
         if self.observable not in OBSERVABLES:
-            raise ConfigError(
-                f"unknown observable '{self.observable}'", key="observable"
-            )
+            raise ConfigError(f"unknown observable '{self.observable}'", key="observable")
 
     def grid(self):
-        name1, lo1, hi1, n1 = self.axis1
-        vals1 = np.linspace(lo1, hi1, int(n1))
-        if self.axis2 is None:
-            return [(name1, None), [(v, None) for v in vals1]]
-        name2, lo2, hi2, n2 = self.axis2
-        vals2 = np.linspace(lo2, hi2, int(n2))
-        cells = [(v1, v2) for v1 in vals1 for v2 in vals2]
-        return [(name1, name2), cells]
+        """(names, cells): the swept field names and, in row-major order,
+        one tuple of field values per cell."""
+        axes = [ax for ax in (self.axis1, self.axis2) if ax is not None]
+        names = tuple(name for name, *_ in axes)
+        cells = list(itertools.product(*(np.linspace(lo, hi, n) for _, lo, hi, n in axes)))
+        return names, cells
 
 
 @dataclass
@@ -135,118 +169,95 @@ class CompareReport:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_RUN_KEYS = _CFG_KEYS + ("tau_start", "tau_end", "tol", "stride", "n_max", "output")
+_RUN_KEYS = _CFG_KEYS + ("tau_start", "tau_end", "tol", "stride", "n_max")
+_SWEEP_KEYS = ("observable",) + tuple(
+    f"{p}_{s}" for p in _AXES for s in ("field", "min", "max", "steps")
+)
 
 
-def _coerce_number(key: str, raw, line: int | None = None) -> float:
-    """float(raw); a bool, non-numeric text or a non-finite value refuses."""
+def _parse(text: str, what: str, build):
+    """build(entries) over a JSON object or flat ``key = value`` lines; a
+    ConfigError that names a key gets the flat-text line of that key."""
+    lines = {}
+    if text.lstrip().startswith("{"):
+        try:
+            entries = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON {what}: {exc}") from None
+        if not isinstance(entries, dict):
+            raise ConfigError(f"JSON {what} must be an object")
+    else:
+        entries = {}
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            stripped = raw.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise ConfigError(
+                    f"expected 'key = value' on line {lineno}: {raw!r}", line=lineno
+                )
+            key, _, value = stripped.partition("=")
+            key = key.strip()
+            if key in entries:
+                raise ConfigError(f"duplicate key '{key}'", key=key, line=lineno)
+            entries[key] = value.strip()
+            lines[key] = lineno
     try:
-        val = float(raw)
-    except (TypeError, ValueError):
-        val = None
-    if val is None or isinstance(raw, bool):
-        raise ConfigError(f"value for '{key}' is not numeric: {raw!r}", key=key, line=line)
-    if not math.isfinite(val):
-        raise ConfigError(f"value for '{key}' must be finite: {raw!r}", key=key, line=line)
-    return val
+        return build(entries)
+    except ConfigError as exc:
+        exc.line = lines.get(exc.key)
+        raise
 
 
-def _build_runspec(entries: dict, lines: dict | None = None) -> RunSpec:
-    lines = lines or {}
+def _build_runspec(entries: dict) -> RunSpec:
     cfg_kwargs = {}
     run_kwargs = {}
     trunc = None
     for key, raw in entries.items():
-        line = lines.get(key)
         if key not in _RUN_KEYS:
-            raise ConfigError(f"unknown config key '{key}'", key=key, line=line)
-        if key == "output":
-            run_kwargs["output_path"] = str(raw)
-        elif key == "n_max":
-            val = _coerce_number(key, raw, line)
+            raise ConfigError(f"unknown config key '{key}'", key=key)
+        if key == "n_max":
+            val = _coerce_number(key, raw)
             if val < 1 or not val.is_integer():
-                raise ConfigError("n_max must be a positive integer", key=key, line=line)
+                raise ConfigError("n_max must be a positive integer", key=key)
             trunc = TruncationSpec(int(val))
         elif key in _CFG_KEYS:
-            cfg_kwargs[key] = _coerce_number(key, raw, line)
+            cfg_kwargs[key] = _coerce_number(key, raw)
         else:
-            run_kwargs[key] = _coerce_number(key, raw, line)
-    try:
-        cfg = DriveConfig(**cfg_kwargs)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), key=exc.key, line=lines.get(exc.key)) from None
-    return RunSpec(cfg=cfg, trunc=trunc, **run_kwargs)
+            run_kwargs[key] = raw
+    return RunSpec(cfg=DriveConfig(**cfg_kwargs), trunc=trunc, **run_kwargs)
 
 
-def _parse_flat(text: str):
-    entries = {}
-    lines = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(
-                f"expected 'key = value' on line {lineno}: {raw!r}", line=lineno
-            )
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key in entries:
-            raise ConfigError(f"duplicate key '{key}'", key=key, line=lineno)
-        entries[key] = value.strip()
-        lines[key] = lineno
-    return entries, lines
-
-
-def parse_config(text: str) -> RunSpec:
-    """Parse a run config from JSON or flat key = value text."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            entries = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON config: {exc}") from None
-        if not isinstance(entries, dict):
-            raise ConfigError("JSON config must be an object")
-        return _build_runspec(entries)
-    entries, lines = _parse_flat(text)
-    return _build_runspec(entries, lines)
-
-
-_SWEEP_AXIS_KEYS = ("field", "min", "max", "steps")
-
-
-def _flatten_sweep_json(doc) -> dict:
-    """JSON sweep spec -> flat entries: {"axis1": {"min": 0, ...}} becomes
-    {"axis1_min": 0, ...}; a null axis is left out."""
-    if not isinstance(doc, dict):
-        raise ConfigError("JSON sweep spec must be an object")
+def _build_sweep(doc: dict) -> SweepSpec:
+    """The JSON form's {"axis1": {"min": 0, ...}} becomes {"axis1_min": 0,
+    ...} (a null axis is left out), so both syntaxes share the checks."""
     entries = {}
     for key, value in doc.items():
-        if key not in ("axis1", "axis2"):
+        if key not in _AXES:
             entries[key] = value
         elif value is not None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{key} must be an object", key=key)
             entries.update((f"{key}_{sub}", v) for sub, v in value.items())
-    return entries
+    extra = sorted(set(entries) - set(_SWEEP_KEYS))
+    if extra:
+        raise ConfigError(f"unknown sweep key '{extra[0]}'", key=extra[0])
+    axes = []
+    for prefix in _AXES:
+        keys = [k for k in _SWEEP_KEYS if k.startswith(prefix)]
+        missing = [k for k in keys if k not in entries]
+        if len(missing) == len(keys):
+            axes.append(None)
+        elif missing:
+            raise ConfigError(f"sweep axis incomplete, missing {missing}", key=prefix)
+        else:
+            axes.append(tuple(entries[k] for k in keys))
+    return SweepSpec(*axes, entries.get("observable"))
 
 
-def _sweep_axis(entries: dict, lines: dict, prefix: str):
-    keys = [f"{prefix}_{s}" for s in _SWEEP_AXIS_KEYS]
-    if not any(k in entries for k in keys):
-        return None
-    missing = [k for k in keys if k not in entries]
-    if missing:
-        raise ConfigError(f"sweep axis incomplete, missing {missing}", key=prefix)
-    lo, hi, steps = (_coerce_number(k, entries[k], lines.get(k)) for k in keys[1:])
-    if not steps.is_integer():
-        raise ConfigError(
-            f"{keys[3]} must be an integer, got {entries[keys[3]]!r}",
-            key=keys[3],
-            line=lines.get(keys[3]),
-        )
-    return str(entries[keys[0]]), lo, hi, int(steps)
+def parse_config(text: str) -> RunSpec:
+    """Parse a run config from JSON or flat key = value text."""
+    return _parse(text, "config", _build_runspec)
 
 
 def parse_sweep(text: str) -> SweepSpec:
@@ -255,30 +266,8 @@ def parse_sweep(text: str) -> SweepSpec:
     JSON form: {"axis1": {"field":..., "min":..., "max":..., "steps":...},
     "axis2": {...} (optional), "observable": ...}.  Flat form uses keys
     axis1_field, axis1_min, axis1_max, axis1_steps, likewise axis2_*, and
-    observable.  The JSON form is flattened to those keys, so both syntaxes
-    are validated by the same code."""
-    if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON sweep spec: {exc}") from None
-        entries, lines = _flatten_sweep_json(doc), {}
-    else:
-        entries, lines = _parse_flat(text)
-    known = {"observable"} | {
-        f"{p}_{s}" for p in ("axis1", "axis2") for s in _SWEEP_AXIS_KEYS
-    }
-    extra = set(entries) - known
-    if extra:
-        k = sorted(extra)[0]
-        raise ConfigError(f"unknown sweep key '{k}'", key=k, line=lines.get(k))
-    axis1 = _sweep_axis(entries, lines, "axis1")
-    if axis1 is None:
-        raise ConfigError("sweep spec needs axis1_field/min/max/steps")
-    axis2 = _sweep_axis(entries, lines, "axis2")
-    if "observable" not in entries:
-        raise ConfigError("sweep spec needs an observable", key="observable")
-    return SweepSpec(axis1, axis2, str(entries["observable"]))
+    observable."""
+    return _parse(text, "sweep spec", _build_sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +277,10 @@ def parse_sweep(text: str) -> SweepSpec:
 
 def _fmt(x: float) -> str:
     return format(float(x), _FLOAT_FMT)
+
+
+def _csv(header, rows) -> str:
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
 def run_trace(spec: RunSpec) -> str:
@@ -300,21 +293,8 @@ def run_trace(spec: RunSpec) -> str:
         tol=spec.tol,
         sample_stride=spec.stride,
     )
-    pops = tr.populations()
-    bloch = spinor_to_bloch(tr.data)
-    buf = io.StringIO()
-    buf.write("tau,p_up,p_dn,ux,uy,uz\n")
-    for k in range(tr.taus.size):
-        row = (
-            tr.taus[k],
-            pops[k, 0],
-            pops[k, 1],
-            bloch[k, 0],
-            bloch[k, 1],
-            bloch[k, 2],
-        )
-        buf.write(",".join(_fmt(x) for x in row) + "\n")
-    return buf.getvalue()
+    cols = np.column_stack([tr.taus, tr.populations(), spinor_to_bloch(tr.data)])
+    return _csv("tau,p_up,p_dn,ux,uy,uz", (map(_fmt, row) for row in cols))
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +314,17 @@ def _final_populations(cfg: DriveConfig, spec: RunSpec) -> tuple[float, float]:
     return tr.final_populations()
 
 
-def _sweep_cell(args):
+def _sweep_cell(spec: RunSpec, observable: str, changes: dict) -> str:
     """One grid cell; returns the formatted observable or an error marker."""
-    index, cfg_kwargs, observable, spec = args
     try:
-        cfg = DriveConfig(**cfg_kwargs)
+        cfg = replace(spec.cfg, **changes)
         if observable == "delta_param":
-            value = strong_drive_delta(cfg)
-        else:
-            p_up, p_dn = _final_populations(cfg, spec)
-            value = {"p_up_final": p_up, "p_dn_final": p_dn, "uz_final": p_up - p_dn}[observable]
-        return index, _fmt(value)
+            return _fmt(strong_drive_delta(cfg))
+        p_up, p_dn = _final_populations(cfg, spec)
+        return _fmt({"p_up_final": p_up, "p_dn_final": p_dn, "uz_final": p_up - p_dn}[observable])
     except (ValueError, ArithmeticError, IntegrationError) as exc:
         # numeric and domain failures of one cell must not abort the grid
-        return index, f"error({type(exc).__name__})"
+        return f"error({type(exc).__name__})"
 
 
 def run_sweep(spec: RunSpec, sweep: SweepSpec, workers: int = 1) -> str:
@@ -355,33 +332,16 @@ def run_sweep(spec: RunSpec, sweep: SweepSpec, workers: int = 1) -> str:
     order, byte-identical for any worker count."""
     if workers < 1:
         raise ConfigError("workers must be >= 1", key="workers")
-    (name1, name2), cells = sweep.grid()
-    base = {k: getattr(spec.cfg, k) for k in _CFG_KEYS}
-    tasks = []
-    for i, (v1, v2) in enumerate(cells):
-        kw = dict(base)
-        kw[name1] = float(v1)
-        if name2 is not None:
-            kw[name2] = float(v2)
-        tasks.append((i, kw, sweep.observable, spec))
+    names, cells = sweep.grid()
+    n = len(cells)
+    args = ([spec] * n, [sweep.observable] * n, [dict(zip(names, c)) for c in cells])
     if workers == 1:
-        results = [_sweep_cell(t) for t in tasks]
+        values = list(map(_sweep_cell, *args))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, tasks))
-    values = [None] * len(tasks)
-    for index, text in results:
-        values[index] = text
-    buf = io.StringIO()
-    if name2 is None:
-        buf.write(f"{name1},{sweep.observable}\n")
-        for (v1, _), text in zip(cells, values):
-            buf.write(f"{_fmt(v1)},{text}\n")
-    else:
-        buf.write(f"{name1},{name2},{sweep.observable}\n")
-        for (v1, v2), text in zip(cells, values):
-            buf.write(f"{_fmt(v1)},{_fmt(v2)},{text}\n")
-    return buf.getvalue()
+            values = list(pool.map(_sweep_cell, *args))
+    rows = ([*map(_fmt, c), v] for c, v in zip(cells, values))
+    return _csv(",".join(names + (sweep.observable,)), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from lzdrive.cli import main as cli_main
 from lzdrive.errors import ConfigError
 from lzdrive.harness import (
     SELFTEST_CHECKS,
+    RunSpec,
     SweepSpec,
     parse_config,
     parse_sweep,
@@ -94,6 +95,16 @@ def test_parse_config_errors():
     assert err.value.key == "delta"
     with pytest.raises(ConfigError, match="must be finite"):
         parse_config('{"stride": NaN}')
+    # window, stride and tol refusals carry the line of the key they name
+    for text, msg, key, line in (
+        ("tau_start = 5\ntau_end = 1\n", "ordered", "tau_start", 1),
+        ("\ntol = 1\n", "tol must lie", "tol", 2),
+        ("delta = 0\nstride = -1\n", "positive", "stride", 2),
+        ("output = run.csv\n", "unknown config key 'output'", "output", 1),
+    ):
+        with pytest.raises(ConfigError, match=msg) as err:
+            parse_config(text)
+        assert (err.value.key, err.value.line) == (key, line)
 
 
 def test_parse_sweep_forms():
@@ -135,6 +146,47 @@ def test_parse_sweep_forms():
         SweepSpec(("delta", 0.0, 1.0, 1), None, "p_up_final")
     with pytest.raises(ConfigError):
         SweepSpec(("delta", 0.0, 1.0, 2), None, "energy")
+
+
+def test_sweep_refuses_a_field_on_both_axes():
+    text = ("axis1_field = eps0\naxis1_min = 0\naxis1_max = 1\naxis1_steps = 2\n"
+            "axis2_field = eps0\naxis2_min = 0\naxis2_max = 1\naxis2_steps = 2\n"
+            "observable = p_up_final\n")
+    with pytest.raises(ConfigError, match="both sweep 'eps0'") as err:
+        parse_sweep(text)
+    assert (err.value.key, err.value.line) == ("axis2_field", 5)
+    with pytest.raises(ConfigError, match="both sweep 'eps0'"):
+        SweepSpec(("eps0", 0.0, 1.0, 2), ("eps0", 0.0, 1.0, 2), "p_up_final")
+    names, cells = SweepSpec(("eps0", 0.0, 1.0, 2), ("phase", 0.0, 1.0, 3),
+                             "p_up_final").grid()
+    assert names == ("eps0", "phase")
+    assert cells == [(a, b) for a in (0.0, 1.0) for b in (0.0, 0.5, 1.0)]
+
+
+def test_specs_built_directly_refuse_what_the_parser_refuses():
+    for kwargs, msg, key in (
+        ({"stride": math.nan}, "must be finite", "stride"),
+        ({"tau_start": -math.inf}, "must be finite", "tau_start"),
+        ({"tau_end": math.inf}, "must be finite", "tau_end"),
+        ({"tol": True}, "not numeric", "tol"),
+    ):
+        with pytest.raises(ConfigError, match=msg) as err:
+            RunSpec(**kwargs)
+        assert err.value.key == key
+    for axis1, axis2, msg, key in (
+        (("delta", math.nan, 0.1, 2), None, "must be finite", "axis1_min"),
+        (("delta", 0.0, math.inf, 2), None, "must be finite", "axis1_max"),
+        (("delta", 0.0, 0.1, 2.7), None, "must be an integer", "axis1_steps"),
+        (("delta", 0.0, 0.1, 2), ("eps0", 0.0, 1.0, 1), ">= 2", "axis2_steps"),
+        (("delta", 0.0, 0.1, 2), ("energy", 0.0, 1.0, 2), "unknown sweep field", "axis2_field"),
+        (None, None, "needs axis1", None),
+    ):
+        with pytest.raises(ConfigError, match=msg) as err:
+            SweepSpec(axis1, axis2, "p_up_final")
+        assert err.value.key == key
+    with pytest.raises(ConfigError, match="needs an observable"):
+        SweepSpec(("delta", 0.0, 0.1, 2), None, None)
+    assert SweepSpec(("delta", 0, 1, 2.0), None, "p_up_final").axis1 == ("delta", 0.0, 1.0, 2)
 
 
 def test_run_trace_zero_drive_and_determinism():
@@ -205,6 +257,19 @@ def test_run_sweep_propagates_programming_errors(monkeypatch):
     }))
     with pytest.raises(TypeError, match="not a cell failure"):
         run_sweep(spec, sweep, workers=1)
+
+
+def test_harness_writes_nothing_to_stdout(capfd):
+    # the benchmark's result is its last stdout line; the harness returns text
+    spec = parse_config("delta = 0.1\nfreq_rf = 1\nfreq_mw = 2\ntau_start = -2\ntau_end = 2\n")
+    sweep = parse_sweep(json.dumps({
+        "axis1": {"field": "eps0", "min": 0.0, "max": 0.5, "steps": 2},
+        "observable": "p_up_final",
+    }))
+    assert run_sweep(spec, sweep, workers=1) == run_sweep(spec, sweep, workers=2)
+    run_trace(spec)
+    run_compare(spec, "strong_drive", threshold=0.5)
+    assert capfd.readouterr().out == ""
 
 
 def test_run_compare_zero_coupling_exact():
