@@ -8,9 +8,10 @@ Layers:
   ``scipy.special``; Stokes phase and the Weber parabolic cylinder function).
 - ``model``: drive parameters, field vector, Hamiltonian, harmonic
   bookkeeping.
-- ``integrate``: adaptive Runge-Kutta propagation of the Schrodinger
-  equation, with Bloch trajectories as its SO(3) image (numeric ground
-  truth).
+- ``integrate``: fourth-order Magnus propagation of the Schrodinger
+  equation in the frame of the exact longitudinal phase, with a
+  step-doubling error estimate held to the requested tolerance; Bloch
+  trajectories are its SO(3) image (numeric ground truth).
 - ``analytic``: closed-form survival/transition probabilities for strong and
   weak longitudinal drive, Cayley-Klein parameters, unswept special cases.
 - ``blochpert``: perturbative Bloch-vector solutions and their kernel
@@ -40,6 +41,7 @@ from .model import (
     passage_phase,
 )
 from .integrate import (
+    SolveStats,
     Trajectory,
     bloch_angles,
     populations,
@@ -100,6 +102,7 @@ __all__ = [
     "OffResonanceError",
     "PassagePropagator",
     "RunSpec",
+    "SolveStats",
     "SweepSpec",
     "TransferMatrix",
     "Trajectory",

@@ -14,6 +14,7 @@ grid, so full-window traces with n_max = 40 stay cheap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,8 +53,9 @@ class TruncationSpec:
     n_max: int
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise DomainError("n_max must be a positive integer")
+        n = self.n_max
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise DomainError(f"n_max must be a positive integer, got {n!r}")
 
     def validate_for(self, cfg: DriveConfig):
         need = math.ceil(cfg.reduced().rf_ratio())

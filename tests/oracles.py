@@ -2,12 +2,12 @@
 oracles.
 
 Each function computes something the package already computes, by a
-different route: the Bloch equation solved directly in its own rotating
-frame, the passage propagator multiplied out by hand, the strong-drive
-exponent regrouped or specialized to zero static shift, and u_z through the
-pairwise F/G kernels.  The package keeps one production path per quantity;
-these stay here so that path is checked against something other than
-itself.
+different route: the amplitude and Bloch equations solved with an adaptive
+Runge-Kutta pair (DOP853) in their rotating frame, the passage propagator
+multiplied out by hand, the strong-drive exponent regrouped or specialized
+to zero static shift, and u_z through the pairwise F/G kernels.  The
+package keeps one production path per quantity; these stay here so that
+path is checked against something other than itself.
 """
 
 import cmath
@@ -25,13 +25,10 @@ from lzdrive.specfun import bessel_j
 _RES_TOL = 1e-6
 
 
-def evolve_bloch(cfg, u0, t0, t1, tol, t_eval=None):
-    """Rotating-frame Bloch solve of du/dtau = b x u with DOP853 at the
-    production tolerances; returns (taus, lab-frame vectors).
-
-    The frame removes theta(tau) = ramp*tau^2/2 + eps0*tau
-    + (A/omega) sin(omega*tau) about z, leaving the transverse field
-    rotated by -theta."""
+def _rotating_frame(cfg):
+    """(theta, b_x) as scalar functions of tau.  The frame removes
+    theta(tau) = ramp*tau^2/2 + eps0*tau + (A/omega) sin(omega*tau) about z,
+    leaving the transverse field rotated by -theta."""
     c = cfg.reduced() if cfg.swept else cfg
     ramp = 1.0 if cfg.swept else 0.0
     delta, eps0, a, w = c.delta, c.eps0, c.amp_rf, c.freq_rf
@@ -44,11 +41,47 @@ def evolve_bloch(cfg, u0, t0, t1, tol, t_eval=None):
             s += aw * math.sin(w * t)
         return s
 
+    def bx(t):
+        return delta + (af * math.cos(wf * t + phi) if af != 0.0 else 0.0)
+
+    return theta, bx
+
+
+def _dop853(rhs, y0, t0, t1, tol, t_eval, what):
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol,
+                    atol=tol * 1e-2, t_eval=t_eval, max_step=abs(t1 - t0) / 16.0)
+    if not sol.success:
+        raise IntegrationError(f"oracle {what} solve failed: {sol.message}")
+    return sol
+
+
+def evolve_tdse(cfg, psi0, t0, t1, tol, t_eval=None):
+    """Rotating-frame amplitude solve with DOP853 at the production
+    tolerances; returns (taus, lab-frame amplitudes)."""
+    theta, bx = _rotating_frame(cfg)
+
     def rhs(t, y):
-        bx = delta + (af * math.cos(wf * t + phi) if af != 0.0 else 0.0)
         th = theta(t)
-        gx = bx * math.cos(th)
-        gy = -bx * math.sin(th)
+        f = -0.5j * bx(t) * complex(math.cos(th), math.sin(th))
+        return (f * y[1], -f.conjugate() * y[0])
+
+    rot0 = cmath.exp(0.5j * theta(t0))
+    y0 = np.array([psi0[0] * rot0, psi0[1] / rot0], dtype=complex)
+    sol = _dop853(rhs, y0, t0, t1, tol, t_eval, "amplitude")
+    rot = np.exp(-0.5j * np.array([theta(float(t)) for t in sol.t]))
+    return sol.t, np.column_stack([sol.y[0] * rot, sol.y[1] / rot])
+
+
+def evolve_bloch(cfg, u0, t0, t1, tol, t_eval=None):
+    """Rotating-frame Bloch solve of du/dtau = b x u with DOP853 at the
+    production tolerances; returns (taus, lab-frame vectors)."""
+    theta, bx = _rotating_frame(cfg)
+
+    def rhs(t, y):
+        b = bx(t)
+        th = theta(t)
+        gx = b * math.cos(th)
+        gy = -b * math.sin(th)
         return (gy * y[2], -gx * y[2], gx * y[1] - gy * y[0])
 
     th0 = theta(t0)
@@ -56,10 +89,7 @@ def evolve_bloch(cfg, u0, t0, t1, tol, t_eval=None):
     w0 = np.array(
         [c0 * u0[0] + s0 * u0[1], -s0 * u0[0] + c0 * u0[1], u0[2]], dtype=float
     )
-    sol = solve_ivp(rhs, (t0, t1), w0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, t_eval=t_eval, max_step=abs(t1 - t0) / 16.0)
-    if not sol.success:
-        raise IntegrationError(f"oracle Bloch solve failed: {sol.message}")
+    sol = _dop853(rhs, w0, t0, t1, tol, t_eval, "Bloch")
     taus = sol.t
     th = np.array([theta(float(t)) for t in taus])
     ct, st = np.cos(th), np.sin(th)

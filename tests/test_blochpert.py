@@ -190,6 +190,11 @@ def test_truncation_convergence():
 def test_truncation_validation():
     with pytest.raises(DomainError):
         TruncationSpec(0)
+    # a half-integer would evaluate a half-integer harmonic grid
+    for bad in (2.5, 40.0, math.nan, math.inf, True, -3):
+        with pytest.raises(DomainError):
+            TruncationSpec(bad)
+    assert TruncationSpec(np.int64(3)).n_max == 3
     cfg = DriveConfig(**CASCADE)  # A/omega = 25
     with pytest.raises(DomainError):
         bloch_perturbative(0.0, cfg, TruncationSpec(10))

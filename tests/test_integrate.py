@@ -1,12 +1,18 @@
-"""Propagator correctness: conservation laws, closed-form limits, and the
-Schrodinger/Bloch equivalence."""
+"""Propagator correctness: conservation laws, closed-form limits, the
+Schrodinger/Bloch equivalence, agreement with the exact bare-crossing pair
+and with an independent DOP853 solve, and the solver's own accounting."""
 
+import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lzdrive.errors import DomainError
+import lzdrive.integrate as integrate
+from lzdrive.analytic import caley_klein_finite
+from lzdrive.errors import DomainError, IntegrationError
 from lzdrive.integrate import (
     _evolve_tdse,
     bloch_angles,
@@ -16,7 +22,9 @@ from lzdrive.integrate import (
     spinor_to_bloch,
 )
 from lzdrive.model import DriveConfig
-from oracles import evolve_bloch
+from oracles import evolve_bloch, evolve_tdse
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def random_config(rng, amp_cap=25.0):
@@ -191,3 +199,73 @@ def test_spinor_to_bloch_pure_states():
     assert spinor_to_bloch(np.array([1.0 + 0j, 0j])).tolist() == [0.0, 0.0, 1.0]
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     np.testing.assert_allclose(spinor_to_bloch(plus), [1.0, 0.0, 0.0], atol=1e-15)
+
+
+def test_bare_crossing_matches_exact_finite_window_pair():
+    # exact for b_x = delta: the Weber-function pair of exponent delta^2/4
+    rot = cmath.exp(-0.25j * math.pi)
+    worst = 0.0
+    for big_t in (20.0, 50.0):
+        for delta in (0.02, 0.07, 0.2, 0.5):
+            tr = propagate_tdse(DriveConfig(delta=delta), tau_start=-big_t,
+                                tau_end=big_t, tol=1e-11, sample_stride=2.0 * big_t)
+            ck = caley_klein_finite(delta**2 / 4.0, -big_t * rot, big_t * rot)
+            c_up, c_dn = tr.data[-1]
+            worst = max(worst, abs(abs(ck.a) - abs(c_up)), abs(abs(ck.b) - abs(c_dn)))
+    assert worst <= 1e-10
+
+
+def test_amplitudes_match_dop853_oracle():
+    strong = DriveConfig(delta=0.1, amp_rf=100.0, freq_rf=100.0, amp_mw=0.08,
+                         freq_mw=200.0, phase=0.7)
+    weak = DriveConfig(delta=0.07, amp_rf=1.0, freq_rf=50.0, amp_mw=0.08,
+                       freq_mw=1.0, phase=1.2)
+    staircase = DriveConfig(delta=0.07, eps0=0.5, amp_rf=25.0, freq_rf=1.0,
+                            amp_mw=0.08, freq_mw=1.0)
+    for cfg in (strong, weak, staircase):
+        tr = propagate_tdse(cfg, tau_start=-10.0, tau_end=10.0, sample_stride=0.5)
+        _, ref = evolve_tdse(cfg, tr.data[0], -10.0, 10.0, 1e-10, t_eval=tr.taus)
+        assert np.max(np.abs(ref - tr.data)) <= 1e-9
+
+
+def test_stats_record_the_solve():
+    cfg = DriveConfig(delta=0.07, amp_rf=5.0, freq_rf=1.0, amp_mw=0.08, freq_mw=2.0)
+    for tol in (1e-8, 1e-10, 1e-12):
+        tr = propagate_tdse(cfg, tau_start=-20.0, tau_end=20.0, tol=tol, sample_stride=0.5)
+        st = tr.stats
+        assert 0.0 <= st.error_estimate <= tol
+        # the returned pass and the half-size pass before it were both evaluated
+        assert st.steps > 0 and st.nfev >= 3 * st.steps
+        assert st.wall_s > 0.0
+    tb = propagate_bloch(cfg, tau_start=-20.0, tau_end=20.0, sample_stride=0.5)
+    assert tb.stats.error_estimate <= 1e-10
+
+
+def test_step_budget_exhaustion_raises_with_tau(monkeypatch):
+    # three doubling passes fit the budget; tol 1e-12 needs more
+    monkeypatch.setattr(integrate, "_MAX_STEPS", 2**11)
+    cfg = DriveConfig(delta=0.07, eps0=0.5, amp_rf=25.0, freq_rf=1.0, amp_mw=0.08,
+                      freq_mw=1.0)
+    with pytest.raises(IntegrationError, match="error estimate") as info:
+        propagate_tdse(cfg, tau_start=-5.0, tau_end=5.0, tol=1e-12, sample_stride=1.0)
+    # the first sample whose estimate exceeds tol
+    assert info.value.tau is not None and -5.0 < info.value.tau <= 5.0
+
+
+def test_traced_run_counts_the_solver():
+    # the benchmark's traced run reports integrate.solver.* from the solver
+    # entry point that lzdrive.integrate binds as solve_ivp
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    rec = tracing.Tracer()
+    rec.install()
+    try:
+        integrate.propagate_tdse(DriveConfig(delta=0.07), tau_start=-5.0, tau_end=5.0,
+                                 sample_stride=1.0)
+    finally:
+        rec.uninstall()
+    assert rec.absent == []
+    assert rec.counters["integrate.solver.calls"] >= 1
+    assert rec.counters["integrate.solver.nfev"] > 0
+    assert rec.aggregate()["integrate.propagate_tdse"][0] == 1
