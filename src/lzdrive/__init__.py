@@ -8,10 +8,10 @@ Layers:
   ``scipy.special``; Stokes phase and the Weber parabolic cylinder function).
 - ``model``: drive parameters, field vector, Hamiltonian, harmonic
   bookkeeping.
-- ``integrate``: fourth-order Magnus propagation of the Schrodinger
-  equation in the frame of the exact longitudinal phase, with a
-  step-doubling error estimate held to the requested tolerance; Bloch
-  trajectories are its SO(3) image (numeric ground truth).
+- ``integrate``: sixth-order Magnus propagation (three Gauss points per
+  step) of the Schrodinger equation in the frame of the exact longitudinal
+  phase, with a step-doubling error estimate held to the requested
+  tolerance; Bloch trajectories are its SO(3) image (numeric ground truth).
 - ``analytic``: closed-form survival/transition probabilities for strong and
   weak longitudinal drive, Cayley-Klein parameters, unswept special cases.
 - ``blochpert``: perturbative Bloch-vector solutions and their kernel

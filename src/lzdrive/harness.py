@@ -18,7 +18,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -162,7 +162,10 @@ class CompareReport:
     passed: bool
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        # a shallow dict: json walks the samples itself, so dataclasses.asdict
+        # would only deep-copy them first
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

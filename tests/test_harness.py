@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -303,6 +304,19 @@ def test_run_compare_rabi_method():
     rep = run_compare(spec, "rabi", threshold=1e-6)
     assert rep.passed
     assert len(rep.samples) == 2 * 80
+
+
+def test_compare_report_json_matches_asdict_dump():
+    # to_json skips dataclasses.asdict's deep copy but writes the same bytes
+    cascade = parse_config(CASCADE_TEXT + "tau_start = -10\ntau_end = 10\nstride = 0.5\n")
+    rabi = parse_config(
+        "v = 0\namp_rf = 1\nfreq_rf = 1\namp_mw = 1\nfreq_mw = 1\ntol = 1e-12\n"
+    )
+    for report in (run_compare(cascade, "bloch_pert", threshold=0.5),
+                   run_compare(rabi, "rabi", threshold=1e-6)):
+        assert report.samples
+        expected = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+        assert report.to_json() == expected
 
 
 def test_run_compare_large_shift_warns_but_runs():

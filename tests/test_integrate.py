@@ -236,14 +236,58 @@ def test_stats_record_the_solve():
         assert 0.0 <= st.error_estimate <= tol
         # the returned pass and the half-size pass before it were both evaluated
         assert st.steps > 0 and st.nfev >= 3 * st.steps
+        assert st.nfev % 3 == 0  # three field evaluations per Magnus step
         assert st.wall_s > 0.0
     tb = propagate_bloch(cfg, tau_start=-20.0, tau_end=20.0, sample_stride=0.5)
     assert tb.stats.error_estimate <= 1e-10
 
 
+def test_step_doubling_shows_sixth_order():
+    # each doubling must cut the pass-to-pass difference by about 2^6 = 64;
+    # a wrong commutator term drops the order, and the /63 Richardson
+    # divisor would then under-report the error.  The strong and weak drives
+    # couple weakly (delta << rates); the third config has a coupling of
+    # order one, where the nested commutators are not negligible.
+    strong = DriveConfig(delta=0.1, amp_rf=100.0, freq_rf=100.0, amp_mw=0.08,
+                         freq_mw=200.0, phase=0.7)
+    weak = DriveConfig(delta=0.07, amp_rf=1.0, freq_rf=50.0, amp_mw=0.08,
+                       freq_mw=1.0, phase=1.2)
+    order_one = DriveConfig(delta=1.0, eps0=0.5, amp_rf=2.0, freq_rf=1.0,
+                            amp_mw=0.5, freq_mw=1.5)
+    for cfg, big_t, m0 in ((strong, 10.0, 2**12), (weak, 10.0, 2**9),
+                           (order_one, 5.0, 2**7)):
+        frame = integrate._make_frame(cfg, big_t)
+        edges = np.array([-big_t, big_t])
+        passes = [np.concatenate(integrate._interval_pairs(frame, edges, m0 << k))
+                  for k in range(4)]
+        diffs = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(passes, passes[1:])]
+        for coarse, fine in zip(diffs, diffs[1:]):
+            assert 40.0 <= coarse / fine <= 100.0
+
+
+def test_error_estimate_bounds_the_actual_error():
+    # resonance-sweep cells: two strong-drive cells and one cell of each
+    # weak-drive basis, against a tol-1e-13 solve of the same window
+    cells = (
+        DriveConfig(delta=0.1, amp_rf=50.0, freq_rf=100.0, amp_mw=0.08, freq_mw=200.0),
+        DriveConfig(delta=0.25, amp_rf=200.0, freq_rf=100.0, amp_mw=0.08, freq_mw=200.0),
+        DriveConfig(delta=0.07, eps0=1.5, amp_rf=1.0, freq_rf=50.0, amp_mw=0.08,
+                    freq_mw=1.0, phase=2.0),
+        DriveConfig(delta=0.0075, eps0=-0.8, amp_rf=29.0, freq_rf=100.0, amp_mw=0.08,
+                    freq_mw=1.0, phase=4.0),
+    )
+    tol = 1e-10
+    for cfg in cells:
+        tr = propagate_tdse(cfg, tol=tol, sample_stride=100.0)
+        ref = propagate_tdse(cfg, tol=1e-13, sample_stride=100.0)
+        err = float(np.max(np.abs(tr.data - ref.data)))
+        assert err <= tol
+        assert err <= 4.0 * tr.stats.error_estimate + 1e-13
+
+
 def test_step_budget_exhaustion_raises_with_tau(monkeypatch):
     # three doubling passes fit the budget; tol 1e-12 needs more
-    monkeypatch.setattr(integrate, "_MAX_STEPS", 2**11)
+    monkeypatch.setattr(integrate, "_MAX_STEPS", 2**10)
     cfg = DriveConfig(delta=0.07, eps0=0.5, amp_rf=25.0, freq_rf=1.0, amp_mw=0.08,
                       freq_mw=1.0)
     with pytest.raises(IntegrationError, match="error estimate") as info:
