@@ -1,7 +1,8 @@
 """Command-line interface: trace, sweep, compare, selftest.
 
-Exit codes: 0 success (and compare pass), 1 configuration/validation error,
-2 numeric failure, 3 compare threshold exceeded.
+Exit codes: 0 success (and compare pass), 1 configuration/validation error
+(argument usage errors included), 2 numeric failure, 3 compare threshold
+exceeded.
 """
 
 from __future__ import annotations
@@ -41,8 +42,17 @@ def _write(path: str | None, text: str):
             fh.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the configuration-error code, not argparse's 2,
+    which here means a numeric failure; subparsers reuse this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lzdrive",
         description="Simulate and verify a doubly driven two-level crossing.",
     )
@@ -55,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="evaluate an observable over a parameter grid")
     s.add_argument("--config", required=True)
     s.add_argument("--sweep", required=True, help="sweep spec file (key=value or JSON)")
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; sweeps run in one process")
     s.add_argument("--out", default=None)
 
     c = sub.add_parser("compare", help="closed-form method vs direct numerics")

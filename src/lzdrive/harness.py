@@ -2,11 +2,10 @@
 
 Two config syntaxes (flat ``key = value`` lines and JSON) go through one
 front end onto a validated RunSpec or SweepSpec.  A sweep is the product of
-its axes: one flat list of cells in row-major order, evaluated with ``map``
-or a process pool's ``map``, both of which keep that order, so the bytes do
-not depend on the worker count.  Comparison runs pit a closed-form method
-against direct numerical propagation and emit a JSON report with per-point
-deviations.
+its axes: one flat list of cells in row-major order, evaluated one after
+another in this process, so the bytes do not depend on the worker count.
+Comparison runs pit a closed-form method against direct numerical
+propagation and emit a JSON report with per-point deviations.
 """
 
 from __future__ import annotations
@@ -17,11 +16,9 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import specfun as sf
 from .analytic import (
@@ -332,17 +329,12 @@ def _sweep_cell(spec: RunSpec, observable: str, changes: dict) -> str:
 
 def run_sweep(spec: RunSpec, sweep: SweepSpec, workers: int = 1) -> str:
     """Evaluate the observable over the grid; CSV text in row-major axis
-    order, byte-identical for any worker count."""
+    order.  ``workers`` is validated (>= 1) and otherwise unused: the cells
+    run one after another in this process."""
     if workers < 1:
         raise ConfigError("workers must be >= 1", key="workers")
     names, cells = sweep.grid()
-    n = len(cells)
-    args = ([spec] * n, [sweep.observable] * n, [dict(zip(names, c)) for c in cells])
-    if workers == 1:
-        values = list(map(_sweep_cell, *args))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_sweep_cell, *args))
+    values = [_sweep_cell(spec, sweep.observable, dict(zip(names, c))) for c in cells]
     rows = ([*map(_fmt, c), v] for c, v in zip(cells, values))
     return _csv(",".join(names + (sweep.observable,)), rows)
 
@@ -478,6 +470,8 @@ def _fresnel_at_pm_x():
 
 
 def _fresnel_vs_quadrature():
+    from scipy.integrate import quad
+
     dev = 0.0
     for x in (0.3, 0.9, 1.7, 2.6, 3.4, 3.9, 4.3, 5.5, 8.0):
         ref_c = quad(lambda t: math.cos(0.5 * math.pi * t * t), 0.0, x, limit=400)[0]
@@ -489,6 +483,8 @@ def _fresnel_vs_quadrature():
 
 def _scaled_fresnel_identity():
     """sqrt(pi) * first component = integral of cos(s^2/2) from -inf to tau."""
+    from scipy.integrate import quad
+
     dev = 0.0
     for tau in (2.0, -1.3, 0.7):
         ref = 0.5 * math.sqrt(math.pi) + quad(

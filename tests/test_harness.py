@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lzdrive.integrate as integrate
 from lzdrive.cli import main as cli_main
 from lzdrive.errors import ConfigError
 from lzdrive.harness import (
@@ -245,6 +250,34 @@ def test_run_sweep_records_cell_failures_and_continues():
     assert lines[1].split(",")[1] == "error(OffResonanceError)"
 
 
+def test_run_sweep_integration_failure_leaves_neighbours(monkeypatch):
+    # a budget of 2^8 steps solves the undriven cell and refuses the driven ones
+    monkeypatch.setattr(integrate, "_MAX_STEPS", 2**8)
+    spec = parse_config(CASCADE_TEXT + "tau_start = -5\ntau_end = 5\ntol = 1e-12\n")
+    sweep = parse_sweep(json.dumps({
+        "axis1": {"field": "amp_rf", "min": 0.0, "max": 25.0, "steps": 3},
+        "observable": "p_up_final",
+    }))
+    lines = run_sweep(spec, sweep).strip().split("\n")
+    assert lines == [
+        "amp_rf,p_up_final",
+        "0,0.96974546787602456",
+        "12.5,error(IntegrationError)",
+        "25,error(IntegrationError)",
+    ]
+
+
+def test_run_sweep_refuses_workers_below_one():
+    spec = parse_config("tau_start = -2\ntau_end = 2\n")
+    sweep = parse_sweep(json.dumps({
+        "axis1": {"field": "eps0", "min": -1, "max": 1, "steps": 2},
+        "observable": "p_up_final",
+    }))
+    with pytest.raises(ConfigError) as info:
+        run_sweep(spec, sweep, workers=0)
+    assert info.value.key == "workers"
+
+
 def test_run_sweep_propagates_programming_errors(monkeypatch):
     # only numeric and domain failures become error cells
     def broken(*args, **kwargs):
@@ -342,6 +375,41 @@ def test_selftest_passes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [ln.split()[:2] for ln in lines[:-1]] == [["PASS", c[0]] for c in SELFTEST_CHECKS]
     assert lines[-1] == "all checks passed"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # quad is imported inside the two selftest checks that use it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    code = "import sys, lzdrive; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_usage_errors_exit_with_config_code(tmp_path, capsys):
+    # 2 means a numeric failure, so a malformed command line exits 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta = 0.07\n")
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("axis1_field = delta\naxis1_min = 0\naxis1_max = 0.1\n"
+                     "axis1_steps = 2\nobservable = delta_param\n")
+    for argv in (["sweep", "--config", str(cfg), "--sweep", str(sweep), "--workers", "abc"],
+                 ["compare", "--config", str(cfg), "--method", "rabi"]):
+        with pytest.raises(SystemExit) as info:
+            cli_main(argv)
+        assert info.value.code == 1, argv
+        assert capsys.readouterr().err.startswith("usage: lzdrive " + argv[0])
+    with pytest.raises(SystemExit) as info:
+        cli_main(["sweep", "--help"])
+    assert info.value.code == 0
+    assert "--workers" in capsys.readouterr().out
+
+    assert cli_main(["sweep", "--config", str(cfg), "--sweep", str(sweep),
+                     "--workers", "0"]) == 1
+    assert "[key: workers]" in capsys.readouterr().err
 
 
 def test_cli_end_to_end(tmp_path, capsys):
