@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and compare pass), 1 configuration/validation error
 (argument usage errors included), 2 numeric failure, 3 compare threshold
-exceeded.
+exceeded.  ``main`` returns the code in every case, usage errors and
+``--help`` too, and never raises SystemExit.
 """
 
 from __future__ import annotations
@@ -42,17 +43,8 @@ def _write(path: str | None, text: str):
             fh.write(text)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, the configuration-error code, not argparse's 2,
-    which here means a numeric failure; subparsers reuse this class."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
+    p = argparse.ArgumentParser(
         prog="lzdrive",
         description="Simulate and verify a doubly driven two-level crossing.",
     )
@@ -80,7 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage or the help; its usage-error code 2
+        # means a numeric failure here, so a usage error returns 1
+        return 1 if exc.code else 0
     try:
         if args.command == "selftest":
             return 0 if selftest() else 2

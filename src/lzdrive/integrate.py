@@ -27,8 +27,11 @@ The step count follows tol by step doubling: the first pass takes about one
 step per 4 radians of the frame's fastest rate, and the solve with 2N steps
 per sample interval is accepted once the Richardson estimate
 max |psi_2N - psi_N| / 63 over every sampled amplitude is <= tol.  Past a
-step budget the solve raises IntegrationError.  Every trajectory carries the
-work done, the error estimate and the wall time in its ``stats``.
+step budget ``solve_ivp`` raises IntegrationError itself, at the first
+sample whose estimate misses tol.  ``propagate_tdse`` rotates the initial
+state into the frame, makes that one call, and rotates the samples back.
+Every trajectory carries the work done, the error estimate and the wall
+time in its ``stats``.
 
 The Bloch flow du/dtau = b x u is the rotation that the SU(2) propagator
 induces, so it is linear in u: a Bloch trajectory is the image of the
@@ -90,7 +93,6 @@ class Trajectory:
     """Sampled time evolution plus the settings that produced it."""
 
     taus: np.ndarray
-    kind: str  # "spinor" or "bloch"
     data: np.ndarray  # (N, 2) complex amplitudes or (N, 3) Bloch components
     cfg: DriveConfig
     tol: float
@@ -100,12 +102,6 @@ class Trajectory:
     def populations(self) -> np.ndarray:
         """(N, 2) array of (p_up, p_dn) along the trajectory."""
         return populations(self.data)
-
-    def bloch(self) -> np.ndarray:
-        """(N, 3) Bloch components along the trajectory."""
-        if self.kind == "bloch":
-            return self.data
-        return spinor_to_bloch(self.data)
 
     def final_populations(self) -> tuple[float, float]:
         p = self.populations()
@@ -229,19 +225,13 @@ def _running_product(a, b, y0) -> np.ndarray:
     return np.array(out).T
 
 
-@dataclass
-class MagnusResult:
-    """Outcome of one Magnus solve, with the fields of scipy's OdeResult
-    that callers read.  On failure t and y stop at the first sample whose
-    error estimate exceeds tol."""
+class MagnusResult(NamedTuple):
+    """Outcome of one accepted Magnus solve."""
 
-    t: np.ndarray
-    y: np.ndarray  # (2, len(t)) interaction-frame amplitudes
-    nfev: int
+    y: np.ndarray  # (2, len(taus)) interaction-frame amplitudes
     steps: int
+    nfev: int
     error_estimate: float
-    success: bool
-    message: str
 
 
 def solve_ivp(frame: _Frame, taus, y0, tol: float) -> MagnusResult:
@@ -250,10 +240,13 @@ def solve_ivp(frame: _Frame, taus, y0, tol: float) -> MagnusResult:
 
     The first pass takes about one step per 4 radians of the frame's fastest
     rate; each further pass doubles the steps per sample interval until
-    max |psi_2N - psi_N| / 63 <= tol, or the next pass would exceed the
-    step budget.  This is the module's solver entry point under the name
+    max |psi_2N - psi_N| / 63 <= tol.  When the next pass would exceed the
+    step budget it raises IntegrationError at the first sample whose
+    estimate misses tol, or at taus[0] when the first pass alone fills the
+    budget.  This is the module's solver entry point under the name
     ``perfbench/tracer.py`` counts (calls and ``nfev``), so it stays bound
-    here as ``solve_ivp`` and outside ``__all__``."""
+    here as ``solve_ivp``, is called through that binding, and stays
+    outside ``__all__``."""
     edges = np.asarray(taus, dtype=float)
     n_int = edges.size - 1
     longest = float(np.max(np.abs(np.diff(edges))))
@@ -266,43 +259,16 @@ def solve_ivp(frame: _Frame, taus, y0, tol: float) -> MagnusResult:
             err = np.max(np.abs(y - prev), axis=0) / 63.0
             est = float(err.max())
             if est <= tol:
-                return MagnusResult(edges, y, nfev, m * n_int, est, True,
-                                    "error estimate within tol")
+                return MagnusResult(y, m * n_int, nfev, est)
         prev, m = y, 2 * m
     if err is None:
-        return MagnusResult(edges[:1], y0[:, None], nfev, 0, math.inf, False,
-                            f"step doubling needs more than {_MAX_STEPS} steps")
-    k = int(np.argmax(err > tol))
-    return MagnusResult(edges[:k + 1], prev[:, :k + 1], nfev, m // 2 * n_int, est,
-                        False, f"error estimate {est:.3e} exceeds tol {tol:g} at "
-                        f"the budget of {_MAX_STEPS} steps")
-
-
-def _solve(frame, y0, taus, tol):
-    sol = solve_ivp(frame, taus, y0, tol)
-    if not sol.success:
-        t_fail = float(sol.t[-1])
-        raise IntegrationError(
-            f"propagation failed near tau = {t_fail:.6g}: {sol.message}", tau=t_fail
-        )
-    return sol
-
-
-def _evolve_tdse(cfg, psi0, t0, t1, tol, t_eval=None):
-    """Interaction-frame Magnus solve from t0 to t1 (either order), sampled
-    at t_eval (default: both ends; t_eval[0] must be t0); returns (the
-    solver result, lab-frame amplitudes at sol.t)."""
-    taus = np.array([t0, t1]) if t_eval is None else t_eval
-    frame = _make_frame(cfg, max(abs(t0), abs(t1)))
-    half0 = 0.5 * frame.theta(t0)
-    rot0 = complex(math.cos(half0), math.sin(half0))
-    y0 = np.array([psi0[0] * rot0, psi0[1] / rot0], dtype=complex)
-    sol = _solve(frame, y0, taus, tol)
-    rot = np.exp(-0.5j * frame.theta(sol.t))
-    states = np.empty((sol.t.size, 2), dtype=complex)
-    states[:, 0] = sol.y[0] * rot
-    states[:, 1] = sol.y[1] / rot
-    return sol, states
+        k, why = 0, f"step doubling needs more than {_MAX_STEPS} steps"
+    else:
+        k = int(np.argmax(err > tol))
+        why = (f"error estimate {est:.3e} exceeds tol {tol:g} at the budget of "
+               f"{_MAX_STEPS} steps")
+    t_fail = float(edges[k])
+    raise IntegrationError(f"propagation failed near tau = {t_fail:.6g}: {why}", tau=t_fail)
 
 
 def propagate_tdse(
@@ -326,11 +292,16 @@ def propagate_tdse(
     if psi0.shape != (2,):
         raise DomainError("psi0 must be a 2-component amplitude vector")
     norm0 = float(psi0[0].real**2 + psi0[0].imag**2 + psi0[1].real**2 + psi0[1].imag**2)
-    if abs(norm0 - 1.0) > 1e-9:
-        raise DomainError("psi0 must be normalized")
+    if not (abs(norm0 - 1.0) <= 1e-9):  # NaN fails this too
+        raise DomainError("psi0 must be finite and normalized")
     taus = _sample_grid(tau_start, tau_end, sample_stride)
     start = perf_counter()
-    sol, states = _evolve_tdse(cfg, psi0, tau_start, tau_end, tol, t_eval=taus)
+    frame = _make_frame(cfg, max(abs(tau_start), abs(tau_end)))
+    half0 = 0.5 * frame.theta(tau_start)
+    rot0 = complex(math.cos(half0), math.sin(half0))
+    sol = solve_ivp(frame, taus, np.array([psi0[0] * rot0, psi0[1] / rot0]), tol)
+    rot = np.exp(-0.5j * frame.theta(taus))
+    states = np.stack([sol.y[0] * rot, sol.y[1] / rot], axis=-1)
     stats = SolveStats(sol.steps, sol.nfev, sol.error_estimate, perf_counter() - start)
     norms = np.abs(states[:, 0]) ** 2 + np.abs(states[:, 1]) ** 2
     drift = np.abs(norms - 1.0)
@@ -341,7 +312,7 @@ def propagate_tdse(
             f"{taus[k]:.6g}",
             tau=float(taus[k]),
         )
-    return Trajectory(taus, "spinor", states, cfg, tol, sample_stride, stats)
+    return Trajectory(taus, states, cfg, tol, sample_stride, stats)
 
 
 def _bloch_to_spinor(u) -> np.ndarray:
@@ -373,12 +344,12 @@ def propagate_bloch(
     if u0.shape != (3,):
         raise DomainError("u0 must be a 3-component Bloch vector")
     r0 = float(np.linalg.norm(u0))
-    if r0 > 1.0 + 1e-9:
-        raise DomainError("|u0| must not exceed 1")
+    if not (r0 <= 1.0 + 1e-9):  # NaN fails this too
+        raise DomainError("u0 must be finite with |u0| <= 1")
     psi0 = _bloch_to_spinor(u0 / r0) if r0 > 0.0 else _UP
     tr = propagate_tdse(cfg, psi0, tau_start, tau_end, tol, sample_stride)
-    return Trajectory(tr.taus, "bloch", r0 * spinor_to_bloch(tr.data), cfg, tol,
-                      sample_stride, tr.stats)
+    return Trajectory(tr.taus, r0 * spinor_to_bloch(tr.data), cfg, tol, sample_stride,
+                      tr.stats)
 
 
 def spinor_to_bloch(state) -> np.ndarray:

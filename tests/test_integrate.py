@@ -14,7 +14,6 @@ import lzdrive.integrate as integrate
 from lzdrive.analytic import caley_klein_finite
 from lzdrive.errors import DomainError, IntegrationError
 from lzdrive.integrate import (
-    _evolve_tdse,
     bloch_angles,
     populations,
     propagate_bloch,
@@ -117,10 +116,12 @@ def test_bloch_from_any_initial_vector_matches_bloch_equation():
 
 def test_time_reversal_returns_initial_state():
     cfg = DriveConfig(delta=0.07, amp_rf=3.0, freq_rf=1.0, amp_mw=0.05, freq_mw=1.5)
+    # the solver run forward and then back on one interaction frame
+    frame = integrate._make_frame(cfg, 10.0)
     psi0 = np.array([1.0 + 0.0j, 0.0j])
-    _, fwd = _evolve_tdse(cfg, psi0, -10.0, 10.0, 1e-11)
-    _, back = _evolve_tdse(cfg, fwd[-1], 10.0, -10.0, 1e-11)
-    assert np.max(np.abs(back[-1] - psi0)) <= 1e-7
+    fwd = integrate.solve_ivp(frame, [-10.0, 10.0], psi0, 1e-11).y[:, -1]
+    back = integrate.solve_ivp(frame, [10.0, -10.0], fwd, 1e-11).y[:, -1]
+    assert np.max(np.abs(back - psi0)) <= 1e-7
     u0 = np.array([0.0, 0.0, 1.0])
     _, fwd = evolve_bloch(cfg, u0, -10.0, 10.0, 1e-11)
     _, back = evolve_bloch(cfg, fwd[-1], 10.0, -10.0, 1e-11)
@@ -294,6 +295,30 @@ def test_step_budget_exhaustion_raises_with_tau(monkeypatch):
         propagate_tdse(cfg, tau_start=-5.0, tau_end=5.0, tol=1e-12, sample_stride=1.0)
     # the first sample whose estimate exceeds tol
     assert info.value.tau is not None and -5.0 < info.value.tau <= 5.0
+
+
+def test_first_pass_filling_the_budget_raises_at_tau_start(monkeypatch):
+    # the first pass alone takes the whole budget, so no estimate exists
+    monkeypatch.setattr(integrate, "_MAX_STEPS", 2**4)
+    cfg = DriveConfig(delta=0.07, eps0=0.5, amp_rf=25.0, freq_rf=1.0, amp_mw=0.08,
+                      freq_mw=1.0)
+    with pytest.raises(IntegrationError, match="needs more than") as info:
+        propagate_tdse(cfg, tau_start=-5.0, tau_end=5.0, sample_stride=1.0)
+    assert info.value.tau == -5.0
+
+
+def test_non_finite_psi0_refuses():
+    # NaN makes every comparison false, so the norm check must fail on it
+    for psi0 in ([math.nan, 0.0], [complex(0.0, math.nan), 1.0], [math.inf, 0.0]):
+        with pytest.raises(DomainError, match="psi0"):
+            propagate_tdse(DriveConfig(delta=0.07), psi0=psi0, tau_start=-2.0,
+                           tau_end=2.0)
+
+
+def test_non_finite_u0_refuses():
+    for u0 in ([math.nan, 0.0, 0.0], [0.0, 0.0, math.inf]):
+        with pytest.raises(DomainError, match="u0"):
+            propagate_bloch(DriveConfig(delta=0.07), u0=u0, tau_start=-2.0, tau_end=2.0)
 
 
 def test_traced_run_counts_the_solver():
