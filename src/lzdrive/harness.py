@@ -375,8 +375,14 @@ def _bloch_pert_samples(spec):
     return out
 
 
-def _zero_sweep_samples(spec, formula, t_max, n_pts):
-    """Formula vs numerics at the n_pts samples after t = 0, spaced t_max / n_pts."""
+def _zero_sweep_samples(spec, formula, periods, n_pts):
+    """Formula vs numerics at n_pts samples spread evenly over the given
+    number of longitudinal drive periods after t = 0.
+
+    The formula runs once first, so its precondition refuses before the
+    window divides by freq_rf and before any propagation."""
+    formula(spec.cfg, 0.0)
+    t_max = periods * 2.0 * math.pi / spec.cfg.freq_rf
     tr = propagate_tdse(
         spec.cfg, tau_start=0.0, tau_end=t_max, tol=spec.tol, sample_stride=t_max / n_pts
     )
@@ -412,11 +418,9 @@ def run_compare(spec: RunSpec, method: str, threshold: float) -> CompareReport:
     elif method == "bloch_pert":
         samples = _bloch_pert_samples(spec)
     elif method == "rabi":
-        w = spec.cfg.freq_rf
-        samples = _zero_sweep_samples(spec, rabi_case, 4.0 * math.pi / w, 80)
+        samples = _zero_sweep_samples(spec, rabi_case, 2, 80)
     else:
-        w = spec.cfg.freq_rf
-        samples = _zero_sweep_samples(spec, inverse_lz_case, 2.0 * math.pi / w, 32)
+        samples = _zero_sweep_samples(spec, inverse_lz_case, 1, 32)
     devs = []
     for s in samples:
         s["abs_dev"] = abs(s["analytic"] - s["numeric"])

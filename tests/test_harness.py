@@ -408,6 +408,23 @@ def test_cli_usage_errors_exit_with_config_code(tmp_path, capsys):
     assert "[key: workers]" in capsys.readouterr().err
 
 
+def test_cli_compare_unswept_methods_refuse_before_propagating(tmp_path, capsys, monkeypatch):
+    # freq_rf = 0 is a valid config while amp_rf = 0, and the rabi and
+    # inverse_lz windows divide by it; a swept config must refuse unpropagated
+    calls = []
+    monkeypatch.setattr(integrate, "solve_ivp", lambda *args: calls.append(args))
+    zero_rf = tmp_path / "zero_rf.cfg"
+    zero_rf.write_text("v = 0\namp_rf = 0\nfreq_rf = 0\namp_mw = 1\nfreq_mw = 1\n")
+    swept = tmp_path / "swept.cfg"
+    swept.write_text("delta = 0.07\nfreq_rf = 1\nfreq_mw = 1\n")
+    for cfg in (zero_rf, swept):
+        for method in ("rabi", "inverse_lz"):
+            argv = ["compare", "--config", str(cfg), "--method", method, "--threshold", "0.1"]
+            assert cli_main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("numeric error: " + method), argv
+    assert calls == []
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     assert cli_main(["selftest"]) == 0
     assert capsys.readouterr().out.endswith("all checks passed\n")

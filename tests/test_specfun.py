@@ -189,6 +189,13 @@ def test_bessel_domain_errors():
     with pytest.raises(AccuracyError):
         bessel_j_sequence(2, -199_079.0)
     assert math.isfinite(bessel_j(0, 199_078.9))
+    # non-integral, bool and non-finite orders refuse; integral floats do not
+    for order in (2.5, True, math.nan, math.inf, np.array([1.0, 2.5]), np.array([0, 1]) > 0):
+        with pytest.raises(DomainError):
+            bessel_j(order, 1.0)
+    assert bessel_j(2.0, 1.0) == bessel_j(2, 1.0)
+    got = bessel_j(np.array([1.0, -3.0]), 1.0)
+    assert got.tobytes() == bessel_j(np.array([1, -3]), 1.0).tobytes()
 
 
 # ---------------------------------------------------------------------------

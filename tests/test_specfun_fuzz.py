@@ -57,6 +57,13 @@ def _is_pole(z):
     log10_x=st.floats(-12.0, 12.0),
     negative=st.booleans(),
 )
+# the seams: scipy's last point, the first asymptotic point, the first 1/2
+@example(log10_x=4.0, negative=False)
+@example(log10_x=4.0, negative=True)
+@example(log10_x=math.nextafter(4.0, 5.0), negative=False)
+@example(log10_x=math.nextafter(4.0, 5.0), negative=True)
+@example(log10_x=12.0, negative=False)
+@example(log10_x=12.0, negative=True)
 def test_fresnel_absolute_error(log10_x, negative):
     x = (-1.0 if negative else 1.0) * 10.0**log10_x
     got = fresnel(x)
