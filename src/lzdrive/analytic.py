@@ -223,7 +223,8 @@ def transfer_matrix(
 ) -> TransferMatrix:
     """SU(2) transfer matrix of one (n, alpha) sub-crossing.
 
-    The crossing exponent is the squared effective coupling.  With
+    The crossing exponent is the squared effective coupling; a negative
+    coupling is conjugation by sigma_z, which flips the sign of b.  With
     asymptotic=False the window (tau_start, tau_end) is required and the
     finite-time pair is used instead."""
     j = effective_coupling(idx, cfg)
@@ -242,6 +243,8 @@ def transfer_matrix(
             (tau_start + off) * _EIGHTH_TURN,
             (tau_end + off) * _EIGHTH_TURN,
         )
+    if j < 0.0:
+        ck = CayleyKlein(ck.a, -ck.b)
     return TransferMatrix(ck, psi)
 
 

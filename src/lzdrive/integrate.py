@@ -294,6 +294,14 @@ def propagate_tdse(
     norm0 = float(psi0[0].real**2 + psi0[0].imag**2 + psi0[1].real**2 + psi0[1].imag**2)
     if not (abs(norm0 - 1.0) <= 1e-9):  # NaN fails this too
         raise DomainError("psi0 must be finite and normalized")
+    if (tau_end - tau_start) / sample_stride > _MAX_STEPS:
+        # each sample interval takes at least one step, so this grid can
+        # never fit the budget; refuse before allocating it
+        raise IntegrationError(
+            f"propagation failed near tau = {tau_start:.6g}: step doubling needs "
+            f"more than {_MAX_STEPS} steps",
+            tau=tau_start,
+        )
     taus = _sample_grid(tau_start, tau_end, sample_stride)
     start = perf_counter()
     frame = _make_frame(cfg, max(abs(tau_start), abs(tau_end)))

@@ -6,7 +6,10 @@ module's accuracy contracts and typed refusals where scipy would return NaN
 or a degraded value.  The Fresnel integrals for |x| > 1e4 (the leading
 asymptotic term with an exact phase split), the Stokes phase, and Weber's
 parabolic cylinder function D_nu(z) for complex order and argument, which
-scipy does not provide, are evaluated here in double precision.
+scipy does not provide, are evaluated here in double precision.  D_nu takes
+its large-|z| asymptotic expansion from |z| = 12 on and, inside, one Taylor
+recurrence of its ODE, started from DLMF's origin values or from the
+expansion at radius 12.
 
 All functions are deterministic and stateless; array broadcasting is
 supported where the callers need it (Bessel orders, Fresnel).
@@ -226,60 +229,12 @@ def stokes_phase(delta: float) -> float:
 # Weber parabolic cylinder function D_nu(z), complex order and argument
 # ---------------------------------------------------------------------------
 
-_WEBER_SERIES_RADIUS = 3.5
+_WEBER_DISK_RADIUS = 3.5
 _WEBER_ASYM_RADIUS = 12.0
 _WEBER_MAX_ABS_Z = 60.0
 _WEBER_MAX_ORDER = 3.0
 _WEBER_GUARD = 1e-8
 _WEBER_MARCH_STEP = 0.75
-_WEBER_TAYLOR_TERMS = 42
-
-
-def _weber_series(nu: complex, z: complex):
-    """Power series around the origin via the two-Kummer representation.
-
-    Returns (D, D') together with a cancellation-based error estimate used
-    as an accuracy guard.
-    """
-    x = 0.5 * z * z
-
-    def kummer(a: complex, b: float):
-        term = 1.0 + 0.0j
-        total = term
-        peak = 1.0
-        k = 0
-        while k < 500:
-            term = term * (a + k) * x / ((b + k) * (k + 1))
-            total += term
-            at = abs(term)
-            if at > peak:
-                peak = at
-            if at <= 1e-18 * abs(total) and k > 2:
-                break
-            k += 1
-        return total, peak
-
-    m1, p1 = kummer(-0.5 * nu, 0.5)
-    dm1, _ = kummer(-0.5 * nu + 1.0, 1.5)
-    dm1 *= -0.5 * nu / 0.5
-    m2, p2 = kummer(0.5 * (1.0 - nu), 1.5)
-    dm2, _ = kummer(0.5 * (1.0 - nu) + 1.0, 2.5)
-    dm2 *= 0.5 * (1.0 - nu) / 1.5
-
-    g1 = reciprocal_gamma(0.5 * (1.0 - nu))
-    g2 = reciprocal_gamma(-0.5 * nu)
-    pref = _SQRT_PI * cmath.exp(0.5 * nu * math.log(2.0) - 0.25 * z * z)
-    sq2 = math.sqrt(2.0)
-
-    bracket = g1 * m1 - sq2 * z * g2 * m2
-    val = pref * bracket
-    # d/dz: prefactor brings -z/2; bracket differentiates with dx/dz = z
-    dbracket = g1 * dm1 * z - sq2 * g2 * (m2 + z * z * dm2)
-    dval = pref * (dbracket - 0.5 * z * bracket)
-
-    scale = abs(pref) * (abs(g1) * p1 + sq2 * abs(z) * abs(g2) * p2 + 1.0)
-    err = scale * 5e-16 / max(abs(val), 1e-300)
-    return val, dval, err
 
 
 def _weber_asym(nu: complex, z: complex):
@@ -323,44 +278,48 @@ def _weber_asym(nu: complex, z: complex):
     return d0, dd0, err
 
 
-def _weber_march(nu: complex, z0: complex, w: complex, dw: complex, z1: complex):
-    """Taylor-step the ODE w'' = (z^2/4 - nu - 1/2) w from z0 to z1."""
-    dist = abs(z1 - z0)
-    nsteps = max(1, int(math.ceil(dist / _WEBER_MARCH_STEP)))
-    h = (z1 - z0) / nsteps
-    a = z0
-    for _ in range(nsteps):
-        q0 = 0.25 * a * a - nu - 0.5
-        q1 = 0.5 * a
-        q2 = 0.25
-        c = [w, dw]
-        for k in range(_WEBER_TAYLOR_TERMS - 2):
-            nxt = q0 * c[k] + q1 * (c[k - 1] if k >= 1 else 0.0) + q2 * (
-                c[k - 2] if k >= 2 else 0.0
-            )
-            c.append(nxt / ((k + 1) * (k + 2)))
-        w = 0.0 + 0.0j
-        dw = 0.0 + 0.0j
-        for k in range(len(c) - 1, -1, -1):
-            w = w * h + c[k]
-            if k >= 1:
-                dw = dw * h + k * c[k]
-        a = a + h
-    return w, dw
+def _weber_taylor(nu: complex, z0: complex, w: complex, hdw: complex, h: complex):
+    """One Taylor step of w'' = (z^2/4 - nu - 1/2) w from z0 to z0 + h.
+
+    Takes w(z0) and h w'(z0).  Sums the terms d_k = w^(k)(z0) h^k / k!
+    until two in a row fall below 1e-17 of the largest; returns
+    (w(z0 + h), h w'(z0 + h), largest |d_k|).
+    """
+    q0 = h * h * (0.25 * z0 * z0 - nu - 0.5)
+    q1 = 0.5 * h * h * h * z0
+    q2 = 0.25 * h * h * h * h
+    # d_{k-4}, d_{k-3}, d_{k-2}, d_{k-1} for k = 2
+    a, b, c, e = 0j, 0j, w, hdw
+    val = c + e
+    der = e
+    peak = max(abs(c), abs(e))
+    k = 2
+    while True:
+        d = (q0 * c + q1 * b + q2 * a) / ((k - 1) * k)
+        val += d
+        der += k * d
+        ad = abs(d)
+        if ad > peak:
+            peak = ad
+        # phrased so that a NaN term ends the sum too
+        if not (ad > 1e-17 * peak or abs(e) > 1e-17 * peak):
+            return val, der, peak
+        a, b, c, e = b, c, e, d
+        k += 1
 
 
 def _weber_right(nu: complex, z: complex) -> complex:
-    """D_nu(z) for Re z >= 0 (or |arg z| <= pi/2 boundary cases)."""
+    """D_nu(z) for Re z >= 0 (or |arg z| <= pi/2 boundary cases).
+
+    |z| >= 12 takes the asymptotic expansion.  Inside, one Taylor step from
+    the origin values covers |z| <= 3.5; the ring between is Taylor-marched
+    along the ray in steps of at most 0.75, in the direction in which D
+    grows: outward from the origin where Re z^2 < 0, inward from the
+    asymptotic value at radius 12 otherwise.  A Taylor result refuses with
+    AccuracyError when its largest term times 5e-15, or the error of the
+    expansion it starts from, exceeds the guard times |D|.
+    """
     az = abs(z)
-    if az <= _WEBER_SERIES_RADIUS:
-        val, _, err = _weber_series(nu, z)
-        if err > _WEBER_GUARD:
-            raise AccuracyError(
-                f"weber_d cancellation too severe at nu={nu}, z={z} "
-                f"(estimated relative error {err:.2e})"
-            )
-        return val
-    direction = z / az
     if az >= _WEBER_ASYM_RADIUS:
         val, _, err = _weber_asym(nu, z)
         if err > _WEBER_GUARD:
@@ -368,19 +327,31 @@ def _weber_right(nu: complex, z: complex) -> complex:
                 f"weber_d asymptotic series not converged at nu={nu}, z={z}"
             )
         return val
-    # intermediate ring: march the ODE along the ray, starting from whichever
-    # side keeps the recessive/dominant error ratio non-amplifying
-    if (z * z).real >= 0.0:
-        anchor = _WEBER_ASYM_RADIUS * direction
-        w, dw, err = _weber_asym(nu, anchor)
+    if az <= _WEBER_DISK_RADIUS or (z * z).real < 0.0:
+        # D_nu(0) and D'_nu(0), DLMF 12.2.6-7
+        start, err = 0j, 0.0
+        pref = _SQRT_PI * cmath.exp(0.5 * nu * math.log(2.0))
+        w = pref * reciprocal_gamma(0.5 * (1.0 - nu))
+        dw = -math.sqrt(2.0) * pref * reciprocal_gamma(-0.5 * nu)
     else:
-        anchor = _WEBER_SERIES_RADIUS * direction
-        w, dw, err = _weber_series(nu, anchor)
+        start = _WEBER_ASYM_RADIUS * z / az
+        w, dw, err = _weber_asym(nu, start)
+    steps = 1
+    if az > _WEBER_DISK_RADIUS:
+        steps = math.ceil(abs(z - start) / _WEBER_MARCH_STEP)
+    h = (z - start) / steps
+    hdw = h * dw
+    peak = 0.0
+    for i in range(steps):
+        w, hdw, p = _weber_taylor(nu, start + i * h, w, hdw, h)
+        peak = max(peak, p)
+    # the rounding error of a sum is a few tens of eps of its largest term
+    err = max(err, peak * 5e-15 / max(abs(w), 1e-300))
     if err > _WEBER_GUARD:
         raise AccuracyError(
-            f"weber_d anchor evaluation inaccurate at nu={nu}, z={z}"
+            f"weber_d estimated relative error {err:.2e} exceeds the guard at "
+            f"nu={nu}, z={z}"
         )
-    w, _ = _weber_march(nu, anchor, w, dw, z)
     return w
 
 

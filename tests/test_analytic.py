@@ -290,6 +290,22 @@ def test_weak_drive_against_numerics_spotcheck():
     assert p_up == pytest.approx(tr.final_populations()[0], abs=2e-2)
 
 
+def test_weak_drive_keeps_the_coupling_sign():
+    # delta < 0 turns the alpha = 0 coupling against the alpha = +-1 ones;
+    # a sign-blind transfer matrix is off here by 4e-2 to 9e-2
+    for phase in (0.0, 1.0, 2.0):
+        cfg = DriveConfig(delta=-0.08, eps0=0.5, amp_rf=2.0, freq_rf=100.0,
+                          amp_mw=0.3, freq_mw=6.0, phase=phase)
+        p_up, _ = weak_drive_probabilities(cfg)
+        num = propagate_tdse(cfg, sample_stride=100.0).final_populations()[0]
+        assert p_up == pytest.approx(num, abs=5e-3), phase
+        # (delta, amp_mw) -> (-delta, -amp_mw) is conjugation by sigma_z
+        flipped = dataclasses.replace(cfg, delta=0.08, amp_mw=-0.3)
+        assert weak_drive_probabilities(flipped)[0] == pytest.approx(p_up, abs=1e-12)
+        flipped_num = propagate_tdse(flipped, sample_stride=100.0).final_populations()[0]
+        assert flipped_num == pytest.approx(num, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # unswept special cases
 # ---------------------------------------------------------------------------

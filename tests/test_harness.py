@@ -425,6 +425,13 @@ def test_cli_compare_unswept_methods_refuse_before_propagating(tmp_path, capsys,
     assert calls == []
 
 
+def test_cli_trace_stride_beyond_the_budget_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta = 0.08\nstride = 1e-12\n")
+    assert cli_main(["trace", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("numeric error: propagation failed")
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     assert cli_main(["selftest"]) == 0
     assert capsys.readouterr().out.endswith("all checks passed\n")

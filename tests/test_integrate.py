@@ -307,6 +307,13 @@ def test_first_pass_filling_the_budget_raises_at_tau_start(monkeypatch):
     assert info.value.tau == -5.0
 
 
+def test_stride_beyond_the_budget_refuses_before_allocating():
+    # 1e14 sample intervals would need 728 TiB for the grid alone
+    with pytest.raises(IntegrationError, match="needs more than") as info:
+        propagate_tdse(DriveConfig(delta=0.07), sample_stride=1e-12)
+    assert info.value.tau == -50.0
+
+
 def test_non_finite_psi0_refuses():
     # NaN makes every comparison false, so the norm check must fail on it
     for psi0 in ([math.nan, 0.0], [complex(0.0, math.nan), 1.0], [math.inf, 0.0]):

@@ -15,6 +15,7 @@ The derandomized profile in ``conftest.py`` makes the draws identical on
 every run.
 """
 
+import cmath
 import math
 import sys
 
@@ -111,11 +112,29 @@ def test_bessel_absolute_error(n, x):
     assert abs(got - ref) <= 1e-12, (n, x, got, ref)
 
 
+def _weber_seams(test):
+    """Pin the origin, the disk edge and the asymptotic radius of weber_d.
+
+    The points lie on the diagonal z = r e^{i pi/4}, where Re z^2 = 0
+    separates the outward and inward marches and along which
+    caley_klein_finite passes its arguments, and at -z, which takes the
+    reflection; the orders are those of a crossing with delta = 0.3.
+    """
+    diagonal = cmath.exp(0.25j * math.pi)
+    radii = (3.5, math.nextafter(3.5, 4.0), 12.0 * (1.0 - 1e-12))
+    points = [0j] + [s * r * diagonal for r in radii for s in (1.0, -1.0)]
+    for nu in (-0.3j, -1.0 - 0.3j):
+        for z in points:
+            test = example(nu=nu, z=z)(test)
+    return test
+
+
 @settings(max_examples=300)
 @given(
     nu=st.builds(complex, _snapped(3.0), _snapped(3.0)),
     z=_disk(60.0, _snapped(60.0)),
 )
+@_weber_seams
 def test_weber_relative_error_or_refusal(nu, z):
     try:
         got = weber_d(nu, z)
