@@ -52,7 +52,6 @@ from .integrate import (
 from .analytic import (
     CayleyKlein,
     PassagePropagator,
-    TransferMatrix,
     caley_klein_asymptotic,
     caley_klein_finite,
     inverse_lz_case,
@@ -104,7 +103,6 @@ __all__ = [
     "RunSpec",
     "SolveStats",
     "SweepSpec",
-    "TransferMatrix",
     "Trajectory",
     "TruncationSpec",
     "UnsupportedConfigError",

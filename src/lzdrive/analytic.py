@@ -5,9 +5,9 @@ to a single effective crossing whose exponent combines the three resonant
 harmonics; the survival probability is exp(-2*pi*delta_eff).
 
 Weak longitudinal drive: one passage is the ordered product of three SU(2)
-transfer matrices (one per sub-crossing branch), each built from asymptotic
-or finite-time Cayley-Klein parameters; the final populations follow from a
-four-path interference sum.
+transfer matrices (one per sub-crossing branch).  Each is a Cayley-Klein
+pair, asymptotic or finite-time, whose b carries the coupling's sign and the
+passage phase; the final populations are |c|^2 of that product.
 
 Unswept special cases (v = 0): the commensurate-drive Rabi formula and the
 sinusoidally swept crossing evaluated through finite-time Cayley-Klein
@@ -36,7 +36,6 @@ from .specfun import log_gamma, stokes_phase, weber_d
 
 __all__ = [
     "CayleyKlein",
-    "TransferMatrix",
     "PassagePropagator",
     "resonance_index",
     "strong_drive_delta",
@@ -70,22 +69,6 @@ class CayleyKlein:
         return np.array(
             [[self.a, self.b], [-self.b.conjugate(), self.a.conjugate()]],
             dtype=complex,
-        )
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """One sub-crossing passage: Cayley-Klein pair plus the phase jump
-    carried by the off-diagonal entries."""
-
-    ck: CayleyKlein
-    psi: float
-
-    def matrix(self) -> np.ndarray:
-        a, b = self.ck.a, self.ck.b
-        e = cmath.exp(1j * self.psi)
-        return np.array(
-            [[a, b * e], [-b.conjugate() / e, a.conjugate()]], dtype=complex
         )
 
 
@@ -220,8 +203,9 @@ def transfer_matrix(
     asymptotic: bool = True,
     tau_start: float | None = None,
     tau_end: float | None = None,
-) -> TransferMatrix:
-    """SU(2) transfer matrix of one (n, alpha) sub-crossing.
+) -> CayleyKlein:
+    """SU(2) transfer matrix of one (n, alpha) sub-crossing, as the pair
+    (a, +-b e^{i psi}) with psi its passage phase.
 
     The crossing exponent is the squared effective coupling; a negative
     coupling is conjugation by sigma_z, which flips the sign of b.  With
@@ -229,7 +213,6 @@ def transfer_matrix(
     finite-time pair is used instead."""
     j = effective_coupling(idx, cfg)
     delta = j * j
-    psi = passage_phase(idx, cfg)
     if asymptotic:
         ck = caley_klein_asymptotic(delta)
     else:
@@ -243,9 +226,8 @@ def transfer_matrix(
             (tau_start + off) * _EIGHTH_TURN,
             (tau_end + off) * _EIGHTH_TURN,
         )
-    if j < 0.0:
-        ck = CayleyKlein(ck.a, -ck.b)
-    return TransferMatrix(ck, psi)
+    b = -ck.b if j < 0.0 else ck.b
+    return CayleyKlein(ck.a, b * cmath.exp(1j * passage_phase(idx, cfg)))
 
 
 def single_passage_propagator(cfg: DriveConfig) -> PassagePropagator:
@@ -261,27 +243,10 @@ def single_passage_propagator(cfg: DriveConfig) -> PassagePropagator:
 
 
 def weak_drive_probabilities(cfg: DriveConfig) -> tuple[float, float]:
-    """(p_up, p_dn) after one passage, via the four-path interference sum.
-
-    Each path amplitude is a product of the moduli |a| and |b| of the
-    photon-index-0 transfer matrices; each relative phase combines
-    passage-phase and Stokes-phase (chi = -arg b) differences.  Numerically
-    identical to |c|^2 of the single-passage propagator.  A branch with
-    b = 0 has no Stokes phase, but every path that would use it carries
-    the factor |b| = 0."""
-    branches = []
-    for alpha in ALPHAS:
-        tm = transfer_matrix(HarmonicIndex(0, alpha), cfg)
-        branches.append((tm.ck.a.real, abs(tm.ck.b), tm.psi, -cmath.phase(tm.ck.b)))
-    (am, bm, pm, cm), (a0, b0, p0, c0), (ap, bp, pp, cp) = branches
-    amp = (am * a0 * ap, -(bm * b0 * ap), -(am * b0 * bp), -(bm * a0 * bp))
-    xi2 = (p0 - pm) - (c0 - cm)
-    xi3 = (p0 - pp) - (c0 - cp)
-    xi4 = (pm - pp) - (cm - cp)
-    # xi2 enters the amplitude sum with the opposite sign of the other two
-    ph = (0.0, -xi2, xi3, xi4)
-    p_up = abs(sum(m * cmath.exp(1j * p) for m, p in zip(amp, ph))) ** 2
-    p_up = min(1.0, max(0.0, p_up))
+    """(p_up, p_dn) after one passage: p_up = |c|^2 of the single-passage
+    propagator, whose matrix product holds the interference of the four
+    paths through the three sub-crossings."""
+    p_up = min(1.0, abs(single_passage_propagator(cfg).c) ** 2)
     return p_up, 1.0 - p_up
 
 

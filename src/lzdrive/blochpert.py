@@ -58,17 +58,18 @@ class TruncationSpec:
             raise DomainError(f"n_max must be a positive integer, got {n!r}")
 
     def validate_for(self, cfg: DriveConfig):
-        need = math.ceil(cfg.reduced().rf_ratio())
+        need = math.ceil(abs(cfg.reduced().rf_ratio()))
         if self.n_max < need:
             raise DomainError(
-                f"n_max = {self.n_max} below ceil(A/omega) = {need}; the "
+                f"n_max = {self.n_max} below ceil(|A/omega|) = {need}; the "
                 f"harmonic sums would miss populated sidebands"
             )
 
 
 def default_truncation(cfg: DriveConfig) -> TruncationSpec:
-    """Cutoff rule max(ceil(A/omega) + 20, 40)."""
-    return TruncationSpec(max(math.ceil(cfg.reduced().rf_ratio()) + 20, 40))
+    """Cutoff rule max(ceil(|A/omega|) + 20, 40); J_n(-x) = (-1)^n J_n(x),
+    so the populated sidebands depend only on |A/omega|."""
+    return TruncationSpec(max(math.ceil(abs(cfg.reduced().rf_ratio())) + 20, 40))
 
 
 class LMKernel(NamedTuple):

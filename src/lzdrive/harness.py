@@ -175,13 +175,24 @@ _SWEEP_KEYS = ("observable",) + tuple(
 )
 
 
+def _unique_keys(pairs) -> dict:
+    """dict(pairs), refusing a key given twice as the flat form does (the
+    JSON object hook)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"duplicate key '{key}'", key=key)
+        out[key] = value
+    return out
+
+
 def _parse(text: str, what: str, build):
     """build(entries) over a JSON object or flat ``key = value`` lines; a
     ConfigError that names a key gets the flat-text line of that key."""
     lines = {}
     if text.lstrip().startswith("{"):
         try:
-            entries = json.loads(text)
+            entries = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON {what}: {exc}") from None
         if not isinstance(entries, dict):
@@ -230,15 +241,17 @@ def _build_runspec(entries: dict) -> RunSpec:
 
 def _build_sweep(doc: dict) -> SweepSpec:
     """The JSON form's {"axis1": {"min": 0, ...}} becomes {"axis1_min": 0,
-    ...} (a null axis is left out), so both syntaxes share the checks."""
-    entries = {}
+    ...} (a null axis is left out), so both syntaxes share the checks; a
+    flat key that the nested form also gives refuses."""
+    pairs = []
     for key, value in doc.items():
         if key not in _AXES:
-            entries[key] = value
+            pairs.append((key, value))
         elif value is not None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{key} must be an object", key=key)
-            entries.update((f"{key}_{sub}", v) for sub, v in value.items())
+            pairs.extend((f"{key}_{sub}", v) for sub, v in value.items())
+    entries = _unique_keys(pairs)
     extra = sorted(set(entries) - set(_SWEEP_KEYS))
     if extra:
         raise ConfigError(f"unknown sweep key '{extra[0]}'", key=extra[0])

@@ -4,10 +4,12 @@ oracles.
 Each function computes something the package already computes, by a
 different route: the amplitude and Bloch equations solved with an adaptive
 Runge-Kutta pair (DOP853) in their rotating frame, the passage propagator
-multiplied out by hand, the strong-drive exponent regrouped or specialized
-to zero static shift, and u_z through the pairwise F/G kernels.  The
-package keeps one production path per quantity; these stay here so that
-path is checked against something other than itself.
+multiplied out by hand and its |c|^2 as a four-path interference sum (both
+from the Cayley-Klein pairs, signed couplings and passage phases, without
+``transfer_matrix``), the strong-drive exponent regrouped or specialized to
+zero static shift, and u_z through the pairwise F/G kernels.  The package
+keeps one production path per quantity; these stay here so that path is
+checked against something other than itself.
 """
 
 import cmath
@@ -16,10 +18,10 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from lzdrive.analytic import _resonant_couplings, transfer_matrix
+from lzdrive.analytic import _resonant_couplings, caley_klein_asymptotic
 from lzdrive.blochpert import _harmonic_grid, default_truncation, fg_kernels
 from lzdrive.errors import IntegrationError, OffResonanceError
-from lzdrive.model import HarmonicIndex
+from lzdrive.model import ALPHAS, HarmonicIndex, effective_coupling, passage_phase
 from lzdrive.specfun import bessel_j
 
 _RES_TOL = 1e-6
@@ -100,16 +102,24 @@ def evolve_bloch(cfg, u0, t0, t1, tol, t_eval=None):
     return taus, out
 
 
+def _passage_branches(cfg):
+    """[(a, b, psi)] of the photon-index-0 crossings, alpha = -1, 0, +1:
+    the asymptotic pair of exponent J^2 with b negated when J < 0, and the
+    passage phase kept apart from b."""
+    out = []
+    for alpha in ALPHAS:
+        idx = HarmonicIndex(0, alpha)
+        j = effective_coupling(idx, cfg)
+        ck = caley_klein_asymptotic(j * j)
+        out.append((ck.a, -ck.b if j < 0.0 else ck.b, passage_phase(idx, cfg)))
+    return out
+
+
 def passage_entries_expanded(cfg):
     """(c, d) of the ordered product S_minus S_zero S_plus at photon index 0,
     written out entry by entry so the interference structure stays
     explicit."""
-    sm = transfer_matrix(HarmonicIndex(0, -1), cfg)
-    s0 = transfer_matrix(HarmonicIndex(0, 0), cfg)
-    sp = transfer_matrix(HarmonicIndex(0, 1), cfg)
-    am, a0, ap = sm.ck.a, s0.ck.a, sp.ck.a
-    bm, b0, bp = sm.ck.b, s0.ck.b, sp.ck.b
-    pm, p0, pp = sm.psi, s0.psi, sp.psi
+    (am, bm, pm), (a0, b0, p0), (ap, bp, pp) = _passage_branches(cfg)
     c = ap * (
         a0 * am - b0.conjugate() * bm * cmath.exp(-1j * (p0 - pm))
     ) - bp.conjugate() * (
@@ -123,6 +133,28 @@ def passage_entries_expanded(cfg):
         ap.conjugate() * b0 * cmath.exp(1j * p0) + a0 * bp * cmath.exp(1j * pp)
     )
     return c, d
+
+
+def weak_drive_four_path(cfg):
+    """(p_up, p_dn) after one passage via the four-path interference sum.
+
+    Each path amplitude is a product of the moduli |a| and |b| of the
+    photon-index-0 pairs; each relative phase combines passage-phase and
+    Stokes-phase (chi = -arg b) differences.  A branch with b = 0 has no
+    Stokes phase, but every path that would use it carries the factor
+    |b| = 0."""
+    branches = [(a.real, abs(b), psi, -cmath.phase(b))
+                for a, b, psi in _passage_branches(cfg)]
+    (am, bm, pm, cm), (a0, b0, p0, c0), (ap, bp, pp, cp) = branches
+    amp = (am * a0 * ap, -(bm * b0 * ap), -(am * b0 * bp), -(bm * a0 * bp))
+    xi2 = (p0 - pm) - (c0 - cm)
+    xi3 = (p0 - pp) - (c0 - cp)
+    xi4 = (pm - pp) - (cm - cp)
+    # xi2 enters the amplitude sum with the opposite sign of the other two
+    ph = (0.0, -xi2, xi3, xi4)
+    p_up = abs(sum(m * cmath.exp(1j * p) for m, p in zip(amp, ph))) ** 2
+    p_up = min(1.0, max(0.0, p_up))
+    return p_up, 1.0 - p_up
 
 
 def strong_drive_delta_regrouped(cfg):

@@ -22,11 +22,12 @@ from lzdrive.analytic import (
 )
 from lzdrive.errors import DomainError, OffResonanceError, UnsupportedConfigError
 from lzdrive.integrate import propagate_tdse
-from lzdrive.model import DriveConfig, HarmonicIndex
+from lzdrive.model import DriveConfig, HarmonicIndex, effective_coupling, passage_phase
 from oracles import (
     passage_entries_expanded,
     strong_drive_delta_regrouped,
     strong_drive_delta_zero_shift,
+    weak_drive_four_path,
 )
 
 ROT = cmath.exp(-0.25j * math.pi)
@@ -39,6 +40,22 @@ def random_weak_config(rng):
         amp_rf=rng.uniform(0.0, 3.0),
         freq_rf=rng.uniform(5.0, 100.0),
         amp_mw=rng.uniform(0.0, 0.3),
+        freq_mw=rng.uniform(0.2, 3.0),
+        phase=rng.uniform(0.0, 2.0 * math.pi),
+    )
+
+
+def random_signed_config(rng):
+    """random_weak_config with delta and amp_mw of both signs and A/omega
+    up to 4, past the first zero of J_0, so the three n = 0 couplings take
+    every sign pattern."""
+    w = rng.uniform(5.0, 100.0)
+    return DriveConfig(
+        delta=rng.uniform(-0.2, 0.2),
+        eps0=rng.uniform(-2.0, 2.0),
+        amp_rf=rng.uniform(0.0, 4.0) * w,
+        freq_rf=w,
+        amp_mw=rng.uniform(-0.3, 0.3),
         freq_mw=rng.uniform(0.2, 3.0),
         phase=rng.uniform(0.0, 2.0 * math.pi),
     )
@@ -197,9 +214,16 @@ def test_caley_klein_finite_approaches_asymptotic_moduli():
 
 def test_transfer_matrix_zero_coupling_keeps_phase_bookkeeping():
     cfg = DriveConfig(eps0=0.4, freq_rf=1.0, freq_mw=1.0, phase=0.3)
-    tm = transfer_matrix(HarmonicIndex(0, 1), cfg)
-    np.testing.assert_allclose(tm.ck.matrix(), np.eye(2), atol=0.0)
-    assert tm.psi == pytest.approx(0.5 * (0.4 + 1.0) ** 2 - 0.3)
+    idx = HarmonicIndex(0, 1)
+    np.testing.assert_allclose(transfer_matrix(idx, cfg).matrix(), np.eye(2), atol=0.0)
+    assert passage_phase(idx, cfg) == pytest.approx(0.5 * (0.4 + 1.0) ** 2 - 0.3)
+    # with the coupling on, b carries the passage phase on top of the
+    # Stokes phase of the bare pair
+    cfg = dataclasses.replace(cfg, amp_mw=0.2)
+    ck = transfer_matrix(idx, cfg)
+    bare = caley_klein_asymptotic(effective_coupling(idx, cfg) ** 2)
+    assert ck.a == bare.a
+    assert abs(ck.b - bare.b * cmath.exp(1j * passage_phase(idx, cfg))) <= 1e-15
 
 
 def test_transfer_matrix_unitarity_random():
@@ -239,14 +263,15 @@ def test_identity_passages_compose_to_identity():
 
 
 def test_passage_propagator_matches_matrix_product():
-    rng = np.random.default_rng(31)
-    for _ in range(100):
-        cfg = random_weak_config(rng)
-        c, d = passage_entries_expanded(cfg)
-        pp = single_passage_propagator(cfg)
-        assert abs(c - pp.c) <= 1e-12
-        assert abs(d - pp.d) <= 1e-12
-        assert pp.unitarity_defect() <= 1e-8
+    for rng, draw in ((np.random.default_rng(31), random_weak_config),
+                      (np.random.default_rng(33), random_signed_config)):
+        for _ in range(100):
+            cfg = draw(rng)
+            c, d = passage_entries_expanded(cfg)
+            pp = single_passage_propagator(cfg)
+            assert abs(c - pp.c) <= 1e-12
+            assert abs(d - pp.d) <= 1e-12
+            assert pp.unitarity_defect() <= 1e-8
 
 
 def test_sideband_pair_symmetry():
@@ -254,20 +279,25 @@ def test_sideband_pair_symmetry():
     rng = np.random.default_rng(37)
     for _ in range(20):
         cfg = random_weak_config(rng)
-        tp = transfer_matrix(HarmonicIndex(0, 1), cfg)
-        tm = transfer_matrix(HarmonicIndex(0, -1), cfg)
-        assert tp.ck.a == tm.ck.a
-        assert tp.ck.b == tm.ck.b
+        pairs = []
+        for alpha in (1, -1):
+            idx = HarmonicIndex(0, alpha)
+            ck = transfer_matrix(idx, cfg)
+            pairs.append((ck.a, ck.b * cmath.exp(-1j * passage_phase(idx, cfg))))
+        (ap, bp), (am, bm) = pairs
+        # b differs between the two only by the passage phase it carries
+        assert ap == am
+        assert abs(bp - bm) <= 1e-15
 
 
 def test_weak_drive_probabilities_identity():
-    rng = np.random.default_rng(41)
-    for _ in range(100):
-        cfg = random_weak_config(rng)
-        p_up, p_dn = weak_drive_probabilities(cfg)
-        pp = single_passage_propagator(cfg)
-        assert abs(p_up - abs(pp.c) ** 2) <= 1e-10
-        assert p_up + p_dn == pytest.approx(1.0, abs=0.0)
+    for rng, draw in ((np.random.default_rng(41), random_weak_config),
+                      (np.random.default_rng(47), random_signed_config)):
+        for _ in range(100):
+            cfg = draw(rng)
+            p_up, p_dn = weak_drive_probabilities(cfg)
+            assert abs(p_up - weak_drive_four_path(cfg)[0]) <= 1e-10
+            assert p_up + p_dn == pytest.approx(1.0, abs=0.0)
     assert weak_drive_probabilities(DriveConfig(freq_rf=1.0, freq_mw=1.0)) == (1.0, 0.0)
     # exactly one branch (alpha = 0) with b = 0: no coupling, or one so small
     # that 1 - a^2 rounds to 0; its Stokes phase must not leak into the sum
@@ -276,9 +306,9 @@ def test_weak_drive_probabilities_identity():
         for _ in range(20):
             cfg = dataclasses.replace(random_weak_config(rng), delta=delta)
             assert cfg.amp_mw > 0.0
-            assert transfer_matrix(HarmonicIndex(0, 0), cfg).ck.b == 0.0
+            assert transfer_matrix(HarmonicIndex(0, 0), cfg).b == 0.0
             p_up, p_dn = weak_drive_probabilities(cfg)
-            assert abs(p_up - abs(single_passage_propagator(cfg).c) ** 2) <= 1e-10
+            assert abs(p_up - weak_drive_four_path(cfg)[0]) <= 1e-10
             assert p_up + p_dn == pytest.approx(1.0, abs=0.0)
 
 

@@ -200,6 +200,13 @@ def test_truncation_validation():
         bloch_perturbative(0.0, cfg, TruncationSpec(10))
     assert default_truncation(cfg).n_max == 45
     assert default_truncation(DriveConfig()).n_max == 40
+    # J_n(-x) = (-1)^n J_n(x): the sign of A/omega moves no sideband, so it
+    # changes neither the cutoff nor the guard
+    for amp in (30.0, -30.0):
+        cfg = DriveConfig(amp_rf=amp, freq_rf=1.0)
+        assert default_truncation(cfg).n_max == 50
+        with pytest.raises(DomainError, match=r"ceil\(\|A/omega\|\) = 30"):
+            TruncationSpec(5).validate_for(cfg)
 
 
 def test_asymptotic_uz_values():

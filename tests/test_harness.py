@@ -101,6 +101,10 @@ def test_parse_config_errors():
     assert err.value.key == "delta"
     with pytest.raises(ConfigError, match="must be finite"):
         parse_config('{"stride": NaN}')
+    # JSON keeps the last of two equal keys; the parser refuses them instead
+    with pytest.raises(ConfigError, match="duplicate key 'delta'") as err:
+        parse_config('{"delta": 0.1, "delta": 0.2}')
+    assert err.value.key == "delta"
     # window, stride and tol refusals carry the line of the key they name
     for text, msg, key, line in (
         ("tau_start = 5\ntau_end = 1\n", "ordered", "tau_start", 1),
@@ -148,6 +152,15 @@ def test_parse_sweep_forms():
     doc["axis1"]["max"] = True
     with pytest.raises(ConfigError, match="not numeric"):
         parse_sweep(json.dumps(doc))
+    # a flat key beside the nested axis that also gives it, in either order
+    axis = {"field": "delta", "min": 0, "max": 0.5, "steps": 3}
+    for text in (json.dumps({"axis1": axis, "axis1_min": 0.5, "observable": "p_up_final"}),
+                 json.dumps({"axis1_min": 0.5, "axis1": axis, "observable": "p_up_final"}),
+                 '{"axis1": {"field": "delta", "min": 0, "min": 0.5, "max": 1, '
+                 '"steps": 3}, "observable": "p_up_final"}'):
+        with pytest.raises(ConfigError, match="duplicate key") as err:
+            parse_sweep(text)
+        assert err.value.key in ("axis1_min", "min")
     with pytest.raises(ConfigError):
         SweepSpec(("delta", 0.0, 1.0, 1), None, "p_up_final")
     with pytest.raises(ConfigError):
@@ -475,6 +488,9 @@ def test_cli_end_to_end(tmp_path, capsys):
                    "axis1_steps = 2\nobservable = delta_param\n")
     assert cli_main(["sweep", "--config", str(cfg), "--sweep", str(bad)]) == 1
     assert "[key: axis1_min] [line: 2]" in capsys.readouterr().err
+    bad.write_text('{"delta": 0.1, "delta": 0.2}')
+    assert cli_main(["trace", "--config", str(bad)]) == 1
+    assert "[key: delta]" in capsys.readouterr().err
 
     # method precondition failure -> exit 2
     assert cli_main(["compare", "--config", str(cfg), "--method", "rabi",

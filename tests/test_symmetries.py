@@ -1,0 +1,100 @@
+"""Exact symmetries of the driven crossing, applied to the closed forms.
+
+Each relation maps a config onto one whose Hamiltonian gives the same
+populations, so every closed form must return the same value on both:
+
+- time reversal, (eps0, A, phi) -> (-eps0, -A, -phi);
+- conjugation by sigma_z, (delta, A_f) -> (-delta, -A_f);
+- a full turn of the drive phase, phi -> phi + 2 pi;
+- (A_f, phi) -> (-A_f, phi + pi), since cos(x + pi) = -cos(x);
+- the sweep-rate rescaling, v -> s^2 v with every energy times s.
+
+phi -> -phi and delta -> -delta on their own are not symmetries of the
+physics, so nothing here asserts them.  The derandomized profile in
+``conftest.py`` makes the draws identical on every run.
+"""
+
+import dataclasses
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lzdrive.analytic import (
+    single_passage_propagator,
+    strong_drive_survival,
+    weak_drive_probabilities,
+)
+from lzdrive.blochpert import bloch_asymptotic_uz
+from lzdrive.model import DriveConfig
+
+_ENERGIES = ("delta", "eps0", "amp_rf", "freq_rf", "amp_mw", "freq_mw")
+
+
+def _rescaled(cfg, s):
+    return dataclasses.replace(
+        cfg, v=s * s * cfg.v, **{k: s * getattr(cfg, k) for k in _ENERGIES}
+    )
+
+
+RELATIONS = {
+    "time reversal": lambda c, s: dataclasses.replace(
+        c, eps0=-c.eps0, amp_rf=-c.amp_rf, phase=-c.phase),
+    "sigma_z": lambda c, s: dataclasses.replace(c, delta=-c.delta, amp_mw=-c.amp_mw),
+    "phi + 2 pi": lambda c, s: dataclasses.replace(c, phase=c.phase + 2.0 * math.pi),
+    "(-A_f, phi + pi)": lambda c, s: dataclasses.replace(
+        c, amp_mw=-c.amp_mw, phase=c.phase + math.pi),
+    "v rescaling": _rescaled,
+}
+
+
+def _strong_at_resonance(cfg):
+    """strong_drive_survival with eps0 moved to the nearest multiple of
+    omega and freq_mw to the nearest nonzero one.  Every relation above
+    commutes with this move (round is odd, and s is a power of two)."""
+    w = cfg.freq_rf
+    return strong_drive_survival(dataclasses.replace(
+        cfg, eps0=round(cfg.eps0 / w) * w, freq_mw=max(1, round(cfg.freq_mw / w)) * w))
+
+
+CLOSED_FORMS = {
+    "weak_drive_probabilities": lambda c: weak_drive_probabilities(c)[0],
+    "|c| of single_passage_propagator": lambda c: abs(single_passage_propagator(c).c),
+    "strong_drive_survival at resonance": _strong_at_resonance,
+    "bloch_asymptotic_uz": bloch_asymptotic_uz,
+}
+
+
+@st.composite
+def drive_configs(draw):
+    # The passage phase (omega_n)^2/2 - alpha*phi is one double, so a
+    # relation that moves phi moves it by 2 pi only to eps*|psi|.  omega <= 2
+    # keeps |psi| below about 2e4 across the cutoff; at omega = 100 and
+    # |A/omega| = 60 (|psi| ~ 2e7) bloch_asymptotic_uz misses by 1.4e-10.
+    w = draw(st.floats(0.5, 2.0))
+    return DriveConfig(
+        delta=draw(st.floats(-0.2, 0.2)),
+        eps0=draw(st.floats(-5.0, 5.0)),
+        # |A/omega| up to 60 takes the default cutoff above its 40 floor
+        amp_rf=draw(st.floats(-60.0, 60.0)) * w,
+        freq_rf=w,
+        amp_mw=draw(st.floats(-0.3, 0.3)),
+        freq_mw=draw(st.floats(0.2, 3.0)),
+        phase=draw(st.floats(-2.0 * math.pi, 2.0 * math.pi)),
+    )
+
+
+# s is a power of two, so the rescaled config reduces to the same floats and
+# an integer A/omega cannot round across the ceil of the default cutoff
+@settings(max_examples=300)
+@given(cfg=drive_configs(), s=st.integers(-3, 3).map(lambda k: 2.0**k))
+def test_closed_forms_keep_the_exact_symmetries(cfg, s):
+    for form, f in CLOSED_FORMS.items():
+        base = f(cfg)
+        for relation, move in RELATIONS.items():
+            moved = f(move(cfg, s))
+            assert abs(moved - base) <= 1e-12, (form, relation, base, moved)
