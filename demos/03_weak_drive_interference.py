@@ -24,12 +24,13 @@ from lzdrive import (
 
 BASE = dict(amp_rf=1.0, freq_rf=50.0, amp_mw=0.08, freq_mw=1.0, delta=0.07)
 
-# The interference sum and the explicit matrix product are the same object.
+# P_up is |c|^2 of the ordered product of the three transfer matrices,
+# which holds the interference of the four paths; that product is unitary.
 cfg = DriveConfig(phase=0.9, **BASE)
 p_up, p_dn = weak_drive_probabilities(cfg)
 pp = single_passage_propagator(cfg)
-print(f"interference sum P_up = {p_up:.12f}")
-print(f"|c|^2 of the propagator = {abs(pp.c)**2:.12f}")
+print(f"P_up = |c|^2 of the propagator = {p_up:.12f} "
+      f"(unitarity defect {pp.unitarity_defect():.1e})")
 
 rows = []
 for phase in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):

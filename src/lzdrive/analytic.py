@@ -7,11 +7,13 @@ harmonics; the survival probability is exp(-2*pi*delta_eff).
 Weak longitudinal drive: one passage is the ordered product of three SU(2)
 transfer matrices (one per sub-crossing branch).  Each is a Cayley-Klein
 pair, asymptotic or finite-time, whose b carries the coupling's sign and the
-passage phase; the final populations are |c|^2 of that product.
+passage phase; the final populations are |c|^2 of that product.  A
+finite-time pair is the crossing-frame propagator of the Weber-function
+solution over its window, so pairs over adjacent windows compose.
 
-Unswept special cases (v = 0): the commensurate-drive Rabi formula and the
-sinusoidally swept crossing evaluated through finite-time Cayley-Klein
-parameters.
+Unswept special cases (v = 0): the commensurate-drive Rabi formula, and the
+sinusoidally swept crossing as the finite-time pair of its effective linear
+sweep turned by a quarter-turn.
 """
 
 from __future__ import annotations
@@ -96,13 +98,17 @@ class PassagePropagator:
 
 def resonance_index(alpha: int, cfg: DriveConfig) -> int:
     """Photon index n_alpha = -(eps0 + alpha*omega_f)/omega at multiphoton
-    resonance; raises OffResonanceError when the ratio is not an integer to
-    within 1e-6."""
+    resonance; raises OffResonanceError when the ratio is not finite or not
+    an integer to within 1e-6."""
     c = cfg.reduced()
     offset = level_offset(HarmonicIndex(0, alpha), c)
     if c.freq_rf <= 0.0:
         raise OffResonanceError("resonance index needs freq_rf > 0")
     ratio = -offset / c.freq_rf
+    if not math.isfinite(ratio):
+        raise OffResonanceError(
+            f"(eps0 + {alpha:+d}*freq_mw)/freq_rf overflows; no resonance index"
+        )
     n = round(ratio)
     if abs(ratio - n) > _RES_TOL:
         raise OffResonanceError(
@@ -155,10 +161,19 @@ def caley_klein_asymptotic(delta: float) -> CayleyKlein:
     return CayleyKlein(complex(a), b)
 
 
-def _ck_finite_formula(delta: float, z_start: complex, z_end: complex) -> CayleyKlein:
-    """Verbatim finite-window pair (requires delta > 0).
+def caley_klein_finite(delta: float, z_start: complex, z_end: complex) -> CayleyKlein:
+    """Crossing-frame propagator of one crossing over a finite window, as a
+    Cayley-Klein pair of Weber-function products in the window's own gauge.
 
-    Carries an overall gauge: at coincident arguments a = -i, not 1."""
+    z_start and z_end are the crossing-frame times rotated by e^{-i pi/4}
+    (z = (tau + offset) e^{-i pi/4}).  Pairs over adjacent windows compose,
+    and delta -> 0 or coincident arguments tend to the identity."""
+    if not math.isfinite(delta) or delta < 0.0:
+        raise DomainError("delta must be finite and >= 0")
+    z_start = complex(z_start)
+    z_end = complex(z_end)
+    if delta < _DELTA_FLOOR or z_start == z_end:
+        return CayleyKlein(1.0 + 0.0j, 0.0 + 0.0j)
     nu = -1j * delta
     dp_f = weber_d(nu, -1j * z_end)
     dm_f = weber_d(nu, 1j * z_end)
@@ -166,30 +181,13 @@ def _ck_finite_formula(delta: float, z_start: complex, z_end: complex) -> Cayley
     dm_i = weber_d(nu, -1j * z_start)
     dp1_i = weber_d(nu - 1.0, 1j * z_start)
     dm1_i = weber_d(nu - 1.0, -1j * z_start)
-    g = cmath.exp(log_gamma(1.0 + 1j * delta))
-    a = -1j * g / math.sqrt(2.0 * math.pi) * (dp_f * dp1_i + dm_f * dm1_i)
-    b = (
-        g
-        * _EIGHTH_TURN
-        / math.sqrt(2.0 * math.pi * delta)
-        * (dp_f * dp_i - dm_f * dm_i)
+    g = cmath.exp(log_gamma(1.0 + 1j * delta)) / math.sqrt(2.0 * math.pi)
+    q_f, q_i = 0.25 * z_end * z_end, 0.25 * z_start * z_start
+    a = g * cmath.exp(q_i - q_f) * (dp_f * dp1_i + dm_f * dm1_i)
+    b = -g * _EIGHTH_TURN / math.sqrt(delta) * cmath.exp(-q_i - q_f) * (
+        dp_f * dp_i - dm_f * dm_i
     )
     return CayleyKlein(a, b)
-
-
-def caley_klein_finite(delta: float, z_start: complex, z_end: complex) -> CayleyKlein:
-    """Finite-window Cayley-Klein pair from Weber-function products.
-
-    z_start and z_end are the crossing-frame times rotated by e^{-i pi/4}
-    (z = (tau + offset) e^{-i pi/4}).  delta -> 0 or coincident arguments
-    give the identity."""
-    if not math.isfinite(delta) or delta < 0.0:
-        raise DomainError("delta must be finite and >= 0")
-    z_start = complex(z_start)
-    z_end = complex(z_end)
-    if delta < _DELTA_FLOOR or z_start == z_end:
-        return CayleyKlein(1.0 + 0.0j, 0.0 + 0.0j)
-    return _ck_finite_formula(delta, z_start, z_end)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +208,7 @@ def transfer_matrix(
     The crossing exponent is the squared effective coupling; a negative
     coupling is conjugation by sigma_z, which flips the sign of b.  With
     asymptotic=False the window (tau_start, tau_end) is required and the
-    finite-time pair is used instead."""
+    finite-time pair is used instead; those compose over adjacent windows."""
     j = effective_coupling(idx, cfg)
     delta = j * j
     if asymptotic:
@@ -281,10 +279,19 @@ def rabi_case(cfg: DriveConfig, t: float) -> tuple[float, float]:
     return 1.0 - p_dn, p_dn
 
 
-def inverse_lz_params(cfg: DriveConfig) -> tuple[float, float]:
-    """(effective sweep rate, effective exponent) of the unswept
-    freq_mw = 2*freq_rf, phase = pi/2 case: v_eff = 2*A_f/omega and
-    delta_eff = (A/omega)^2 / (4 v_eff)."""
+def inverse_lz_case(cfg: DriveConfig, t_f: float) -> tuple[float, float]:
+    """(p_up, p_dn) of the unswept freq_mw = 2*freq_rf, phase = pi/2 case,
+    starting at t = 0, measured in the bare z basis.
+
+    The sinusoidal sweep maps onto a linear crossing with
+    v_eff = 2*A_f/omega and exponent delta_eff = (A/omega)^2/(4 v_eff),
+    whose crossing-frame pair runs from z = 0 to z = tau_f e^{-i pi/4},
+    tau_f = sqrt(v_eff) sin(omega t).  The quarter-turn that diagonalizes
+    the effective sweep maps that pair onto a -> -i e^{-i tau_f^2/4} a and
+    b -> -e^{-i tau_f^2/4} b, whose real and imaginary parts split the bare
+    populations.  Only the endpoint values of z enter, so the retraced sweep
+    (sin not monotone) needs no special handling.  A v_eff or delta_eff
+    that overflows refuses."""
     _require(cfg.v == 0.0, "inverse_lz_case requires v = 0")
     _require(cfg.delta == 0.0 and cfg.eps0 == 0.0, "inverse_lz_case requires zero statics")
     _require(
@@ -297,34 +304,17 @@ def inverse_lz_params(cfg: DriveConfig) -> tuple[float, float]:
     )
     _require(cfg.amp_mw > 0.0, "inverse_lz_case requires amp_mw > 0")
     w = cfg.freq_rf
+    aw = cfg.amp_rf / w
     v_eff = 2.0 * cfg.amp_mw / w
-    delta_eff = (cfg.amp_rf / w) ** 2 / (4.0 * v_eff)
-    return v_eff, delta_eff
-
-
-def inverse_lz_case(cfg: DriveConfig, t_f: float) -> tuple[float, float]:
-    """(p_up, p_dn) of the unswept freq_mw = 2*freq_rf, phase = pi/2 case,
-    starting at t = 0, measured in the bare z basis.
-
-    The sinusoidal sweep maps onto a linear crossing with
-    v_eff = 2*A_f/omega and exponent (A/omega)^2/(4 v_eff); the amplitudes
-    are finite-time Cayley-Klein parameters at
-    z = sqrt(v_eff) sin(omega t) e^{-i pi/4}, whose real and imaginary parts
-    split the populations.  The mapping carries no basis offset: the
-    formula's own gauge (a -> -i at zero elapsed time) already accounts for
-    the quarter-turn rotation that diagonalizes the effective sweep, so the
-    returned pair equals the lab populations of the bare states.  The
-    retraced sweep (sin not monotone) needs no special handling because
-    only the endpoint values of z enter."""
-    v_eff, delta_eff = inverse_lz_params(cfg)
-    w = cfg.freq_rf
+    delta_eff = aw * aw / (4.0 * v_eff)  # overflows to inf, where aw ** 2 would raise
+    _require(
+        math.isfinite(v_eff) and math.isfinite(delta_eff),
+        "inverse_lz_case needs a finite effective sweep rate and exponent",
+    )
     tau_f = math.sqrt(v_eff) * math.sin(w * t_f)
-    if delta_eff < _DELTA_FLOOR:
-        # zero effective coupling: pure gauge rotation of the bare drive
-        a = -1j * cmath.exp(-0.25j * tau_f * tau_f)
-        ck = CayleyKlein(a, 0.0 + 0.0j)
-    else:
-        ck = _ck_finite_formula(delta_eff, 0.0 + 0.0j, tau_f * _EIGHTH_TURN)
-    p_dn = ck.a.real**2 + ck.b.real**2
-    p_up = ck.a.imag**2 + ck.b.imag**2
+    ck = caley_klein_finite(delta_eff, 0.0, tau_f * _EIGHTH_TURN)
+    turn = cmath.exp(-0.25j * tau_f * tau_f)
+    a, b = -1j * turn * ck.a, -turn * ck.b
+    p_dn = a.real**2 + b.real**2
+    p_up = a.imag**2 + b.imag**2
     return p_up, p_dn

@@ -294,17 +294,19 @@ def propagate_tdse(
     norm0 = float(psi0[0].real**2 + psi0[0].imag**2 + psi0[1].real**2 + psi0[1].imag**2)
     if not (abs(norm0 - 1.0) <= 1e-9):  # NaN fails this too
         raise DomainError("psi0 must be finite and normalized")
-    if (tau_end - tau_start) / sample_stride > _MAX_STEPS:
-        # each sample interval takes at least one step, so this grid can
-        # never fit the budget; refuse before allocating it
+    start = perf_counter()
+    frame = _make_frame(cfg, max(abs(tau_start), abs(tau_end)))
+    span = tau_end - tau_start
+    if not (span / sample_stride <= _MAX_STEPS and 0.25 * span * frame.rate <= _MAX_STEPS):
+        # each sample interval takes at least one step, and the first pass
+        # one per 4 radians of the frame's rate, so this solve can never fit
+        # the budget; refuse before allocating the grid or evaluating theta
         raise IntegrationError(
             f"propagation failed near tau = {tau_start:.6g}: step doubling needs "
             f"more than {_MAX_STEPS} steps",
             tau=tau_start,
         )
     taus = _sample_grid(tau_start, tau_end, sample_stride)
-    start = perf_counter()
-    frame = _make_frame(cfg, max(abs(tau_start), abs(tau_end)))
     half0 = 0.5 * frame.theta(tau_start)
     rot0 = complex(math.cos(half0), math.sin(half0))
     sol = solve_ivp(frame, taus, np.array([psi0[0] * rot0, psi0[1] / rot0]), tol)

@@ -193,6 +193,9 @@ def effective_coupling(idx: HarmonicIndex, cfg: DriveConfig) -> float:
 
 
 def passage_phase(idx: HarmonicIndex, cfg: DriveConfig) -> float:
-    """Phase jump of one passage: (omega_n^alpha)^2 / 2 - alpha*phi."""
+    """Phase jump of one passage: (omega_n^alpha)^2 / 2 - alpha*phi.
+
+    The square is reduced modulo 2 pi before the drive phase is subtracted,
+    so phi keeps its own precision however far the crossing sits out."""
     w = level_offset(idx, cfg)
-    return 0.5 * w * w - branch_phase(idx.alpha, cfg)
+    return np.fmod(0.5 * w * w, 2.0 * math.pi) - branch_phase(idx.alpha, cfg)

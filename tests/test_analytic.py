@@ -22,7 +22,13 @@ from lzdrive.analytic import (
 )
 from lzdrive.errors import DomainError, OffResonanceError, UnsupportedConfigError
 from lzdrive.integrate import propagate_tdse
-from lzdrive.model import DriveConfig, HarmonicIndex, effective_coupling, passage_phase
+from lzdrive.model import (
+    DriveConfig,
+    HarmonicIndex,
+    effective_coupling,
+    level_offset,
+    passage_phase,
+)
 from oracles import (
     passage_entries_expanded,
     strong_drive_delta_regrouped,
@@ -183,10 +189,35 @@ def test_caley_klein_finite_matches_integration():
                            (0.25, 0.0, -10.0, 10.0), (0.1, 0.0, 0.0, 6.0)]:
         c_up, c_dn = framed_crossing_oracle(math.sqrt(d), off, t0, t1)
         ck = caley_klein_finite(d, (t0 + off) * ROT, (t1 + off) * ROT)
-        # the pair carries a window-dependent gauge; moduli are physical
         assert abs(ck.a) == pytest.approx(abs(c_up), abs=1e-4)
         assert abs(ck.b) == pytest.approx(abs(c_dn), abs=1e-4)
+        # the pair is the crossing-frame propagator: its first column is
+        # (a, -conj(b)), the state that starts in the upper level
+        assert abs(ck.a - c_up) <= 1e-9
+        assert abs(-ck.b.conjugate() - c_dn) <= 1e-9
         assert ck.unitarity_defect() <= 1e-6
+
+
+def test_caley_klein_finite_is_continuous_at_the_floor():
+    # just above the delta floor the pair is already the identity it
+    # returns below it
+    for t0, t1 in ((-3.0, 4.0), (0.0, 6.0), (-20.0, -2.5)):
+        ck = caley_klein_finite(2e-14, t0 * ROT, t1 * ROT)
+        assert abs(ck.a - 1.0) <= 1e-12
+        assert abs(ck.b) <= 1e-6
+
+
+def test_caley_klein_finite_composes_over_adjacent_windows():
+    rng = np.random.default_rng(53)
+    worst = 0.0
+    for _ in range(300):
+        d = float(rng.uniform(1e-3, 1.5))
+        t0, t1, t2 = np.sort(rng.uniform(-25.0, 25.0, size=3))
+        first = caley_klein_finite(d, t0 * ROT, t1 * ROT).matrix()
+        second = caley_klein_finite(d, t1 * ROT, t2 * ROT).matrix()
+        whole = caley_klein_finite(d, t0 * ROT, t2 * ROT).matrix()
+        worst = max(worst, float(np.max(np.abs(second @ first - whole))))
+    assert worst <= 1e-12
 
 
 def test_caley_klein_finite_unitarity_random():
@@ -244,6 +275,20 @@ def test_transfer_matrix_finite_window_variant():
     np.testing.assert_allclose(m @ m.conj().T, np.eye(2), atol=1e-6)
     with pytest.raises(DomainError):
         transfer_matrix(HarmonicIndex(0, 0), cfg, asymptotic=False)
+
+
+def test_finite_transfer_matrices_compose_over_adjacent_windows():
+    cfg = DriveConfig(delta=0.15, eps0=0.6, amp_rf=1.3, freq_rf=2.0, amp_mw=0.2,
+                      freq_mw=1.1, phase=0.8)
+    for n in (-1, 0, 1):
+        for alpha in (-1, 0, 1):
+            idx = HarmonicIndex(n, alpha)
+            # the crossing sits at tau = -offset, inside the second window
+            cross = -level_offset(idx, cfg)
+            t0, t1, t2 = cross - 7.0, cross - 1.0, cross + 5.0
+            parts = [transfer_matrix(idx, cfg, asymptotic=False, tau_start=a, tau_end=b).matrix()
+                     for a, b in ((t0, t1), (t1, t2), (t0, t2))]
+            np.testing.assert_allclose(parts[1] @ parts[0], parts[2], rtol=0.0, atol=1e-12)
 
 
 def test_passage_propagator_zero_coupling():

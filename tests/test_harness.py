@@ -445,6 +445,44 @@ def test_cli_trace_stride_beyond_the_budget_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric error: propagation failed")
 
 
+# finite configs whose windows or ratios overflow inside the computation
+HUGE_WINDOW = "delta = 0.1\ntau_start = -1e300\ntau_end = 1e300\n"
+HUGE_RATIO = "eps0 = 1e10\nfreq_rf = 1e-300\n"
+HUGE_INVERSE_LZ = ("v = 0\namp_rf = 1\nfreq_rf = 1e-300\namp_mw = 1\nfreq_mw = 2e-300\n"
+                   "phase = 1.5707963267948966\n")
+
+
+def test_cli_overflowing_inputs_exit_2(tmp_path, capsys):
+    for text, method, why in (
+        (HUGE_WINDOW, "weak_drive", "propagation failed near tau = -1e+300"),
+        (HUGE_RATIO, "strong_drive", "(eps0 + -1*freq_mw)/freq_rf overflows"),
+        (HUGE_INVERSE_LZ, "inverse_lz", "inverse_lz_case needs a finite"),
+    ):
+        cfg = tmp_path / f"{method}.cfg"
+        cfg.write_text(text)
+        argv = ["compare", "--config", str(cfg), "--method", method, "--threshold", "0.1"]
+        if method == "strong_drive":
+            with pytest.warns(UserWarning, match="static shift"):
+                code = cli_main(argv)
+        else:
+            code = cli_main(argv)
+        assert code == 2, method
+        assert capsys.readouterr().err.startswith("numeric error: " + why), method
+
+
+def test_run_sweep_types_overflowing_cells():
+    for text, observable, marker in (
+        (HUGE_WINDOW, "p_up_final", "error(IntegrationError)"),
+        (HUGE_RATIO, "delta_param", "error(OffResonanceError)"),
+    ):
+        sweep = parse_sweep(json.dumps({
+            "axis1": {"field": "phase", "min": 0.0, "max": 1.0, "steps": 2},
+            "observable": observable,
+        }))
+        lines = run_sweep(parse_config(text), sweep).strip().split("\n")[1:]
+        assert [line.split(",")[1] for line in lines] == [marker, marker]
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     assert cli_main(["selftest"]) == 0
     assert capsys.readouterr().out.endswith("all checks passed\n")

@@ -205,7 +205,7 @@ def test_spinor_to_bloch_pure_states():
 def test_bare_crossing_matches_exact_finite_window_pair():
     # exact for b_x = delta: the Weber-function pair of exponent delta^2/4
     rot = cmath.exp(-0.25j * math.pi)
-    worst = 0.0
+    worst = worst_frame = 0.0
     for big_t in (20.0, 50.0):
         for delta in (0.02, 0.07, 0.2, 0.5):
             tr = propagate_tdse(DriveConfig(delta=delta), tau_start=-big_t,
@@ -213,7 +213,14 @@ def test_bare_crossing_matches_exact_finite_window_pair():
             ck = caley_klein_finite(delta**2 / 4.0, -big_t * rot, big_t * rot)
             c_up, c_dn = tr.data[-1]
             worst = max(worst, abs(abs(ck.a) - abs(c_up)), abs(abs(ck.b) - abs(c_dn)))
+            # in the frame of theta = tau^2/2 the upper state starts as
+            # e^{i theta(-T)/2}, and (a, -conj(b)) carries it to the end:
+            # a = c_up e^{i(theta(T) - theta(-T))/2} = c_up and
+            # -conj(b) = c_dn e^{-i(theta(T) + theta(-T))/2} = c_dn e^{-i T^2/2}
+            worst_frame = max(worst_frame, abs(ck.a - c_up),
+                              abs(-ck.b.conjugate() - c_dn * cmath.exp(-0.5j * big_t**2)))
     assert worst <= 1e-10
+    assert worst_frame <= 1e-9
 
 
 def test_amplitudes_match_dop853_oracle():
@@ -312,6 +319,16 @@ def test_stride_beyond_the_budget_refuses_before_allocating():
     with pytest.raises(IntegrationError, match="needs more than") as info:
         propagate_tdse(DriveConfig(delta=0.07), sample_stride=1e-12)
     assert info.value.tau == -50.0
+
+
+def test_window_beyond_the_budget_refuses_before_evaluating_theta():
+    # past |tau| ~ 1.3e154 theta overflows to inf, and the first pass alone
+    # could never fit the budget: the solve refuses as that pass would
+    for start, end in ((-1e300, 1e300), (-1e5, 1e5), (0.0, 1.7e308)):
+        with pytest.raises(IntegrationError, match="needs more than") as info:
+            propagate_tdse(DriveConfig(delta=0.1), tau_start=start, tau_end=end,
+                           sample_stride=end - start)
+        assert info.value.tau == start
 
 
 def test_non_finite_psi0_refuses():
