@@ -34,7 +34,7 @@ from .model import (
     level_offset,
     passage_phase,
 )
-from .specfun import log_gamma, stokes_phase, weber_d
+from .specfun import _WEBER_MAX_ORDER, log_gamma, stokes_phase, weber_d
 
 __all__ = [
     "CayleyKlein",
@@ -121,13 +121,11 @@ def resonance_index(alpha: int, cfg: DriveConfig) -> int:
 
 def _resonant_couplings(cfg: DriveConfig):
     """[(coupling, branch phase)] for alpha = -1, 0, +1 at resonance."""
-    out = []
-    for alpha in ALPHAS:
-        n = resonance_index(alpha, cfg)
-        out.append(
-            (effective_coupling(HarmonicIndex(n, alpha), cfg), branch_phase(alpha, cfg))
-        )
-    return out
+    alpha = np.array(ALPHAS)
+    idx = HarmonicIndex(np.array([resonance_index(a, cfg) for a in ALPHAS]), alpha)
+    couplings = effective_coupling(idx, cfg)
+    return list(zip(couplings.tolist(), branch_phase(alpha, cfg).tolist()))
+
 
 def strong_drive_delta(cfg: DriveConfig) -> float:
     """Effective crossing exponent: double sum over branch pairs of
@@ -208,8 +206,14 @@ def transfer_matrix(
     The crossing exponent is the squared effective coupling; a negative
     coupling is conjugation by sigma_z, which flips the sign of b.  With
     asymptotic=False the window (tau_start, tau_end) is required and the
-    finite-time pair is used instead; those compose over adjacent windows."""
+    finite-time pair is used instead; those compose over adjacent windows.
+    A window given with asymptotic=True, or an index that is not a single
+    crossing, raises DomainError."""
+    if asymptotic and (tau_start is not None or tau_end is not None):
+        raise DomainError("transfer_matrix takes a window only with asymptotic=False")
     j = effective_coupling(idx, cfg)
+    if np.ndim(j):  # the coupling broadcasts over both indices
+        raise DomainError(f"transfer_matrix takes one (n, alpha) crossing, got {idx}")
     delta = j * j
     if asymptotic:
         ck = caley_klein_asymptotic(delta)
@@ -291,7 +295,7 @@ def inverse_lz_case(cfg: DriveConfig, t_f: float) -> tuple[float, float]:
     b -> -e^{-i tau_f^2/4} b, whose real and imaginary parts split the bare
     populations.  Only the endpoint values of z enter, so the retraced sweep
     (sin not monotone) needs no special handling.  A v_eff or delta_eff
-    that overflows refuses."""
+    that overflows refuses, and so does delta_eff > 3, the Weber order box."""
     _require(cfg.v == 0.0, "inverse_lz_case requires v = 0")
     _require(cfg.delta == 0.0 and cfg.eps0 == 0.0, "inverse_lz_case requires zero statics")
     _require(
@@ -310,6 +314,12 @@ def inverse_lz_case(cfg: DriveConfig, t_f: float) -> tuple[float, float]:
     _require(
         math.isfinite(v_eff) and math.isfinite(delta_eff),
         "inverse_lz_case needs a finite effective sweep rate and exponent",
+    )
+    # the pair's Weber order is -i*delta_eff
+    _require(
+        delta_eff <= _WEBER_MAX_ORDER,
+        f"inverse_lz_case needs delta_eff <= {_WEBER_MAX_ORDER:g} (the validated "
+        f"Weber order box), got delta_eff = {delta_eff:.6g}",
     )
     tau_f = math.sqrt(v_eff) * math.sin(w * t_f)
     ck = caley_klein_finite(delta_eff, 0.0, tau_f * _EIGHTH_TURN)

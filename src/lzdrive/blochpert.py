@@ -113,16 +113,17 @@ def fg_kernels(x, xp):
 
 
 def _harmonic_grid(cfg: DriveConfig, trunc: TruncationSpec):
-    """Couplings, offsets and passage phases on the (n, alpha) grid,
-    flattened to 1-D arrays of length 3*(2*n_max + 1), plus the photon
-    indices n and their Bessel weights J_n(A/omega)."""
+    """Couplings, offsets and passage phases on the (n, alpha) grid, one
+    broadcast call each, raveled alpha-major to length 3*(2*n_max + 1); plus
+    n and its Bessel weights J_n(A/omega), which the rotation sums need and
+    the couplings cannot give back when delta = 0."""
     trunc.validate_for(cfg)
     n = np.arange(-trunc.n_max, trunc.n_max + 1)
-    branches = [HarmonicIndex(n, alpha) for alpha in ALPHAS]
+    grid = HarmonicIndex(n, np.array(ALPHAS)[:, None])
     return (
-        np.concatenate([effective_coupling(idx, cfg) for idx in branches]),
-        np.concatenate([level_offset(idx, cfg) for idx in branches]),
-        np.concatenate([passage_phase(idx, cfg) for idx in branches]),
+        effective_coupling(grid, cfg).ravel(),
+        level_offset(grid, cfg).ravel(),
+        passage_phase(grid, cfg).ravel(),
         n,
         bessel_j(n, cfg.reduced().rf_ratio()),
     )

@@ -9,7 +9,7 @@ so a config built with v = 1 is already dimensionless.
 
 The harmonic bookkeeping (photon index n, sub-crossing branch alpha) shared
 by every closed-form result lives here: level offsets, effective couplings,
-and passage phases.
+passage and branch phases, each broadcast over arrays of both indices.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "level_offset",
     "effective_coupling",
     "passage_phase",
-    "coupling_strength",
     "branch_phase",
 ]
 
@@ -116,8 +115,8 @@ class HarmonicIndex(NamedTuple):
     """Photon index n of the longitudinal drive and branch alpha in
     {-1, 0, +1} labelling the transverse sub-crossing.
 
-    n may be an integer array; the harmonic functions below then return
-    one value per photon index of that branch."""
+    Either field may be an array; the harmonic functions below broadcast
+    n against alpha and return one value per (n, alpha) crossing."""
 
     n: int
     alpha: int
@@ -129,18 +128,10 @@ class FieldVector(NamedTuple):
     bz: float
 
 
-def _check_alpha(alpha: int) -> int:
-    if alpha not in (-1, 0, 1):
+def _check_alpha(alpha):
+    # a set test: np.isin costs about 20x more on a scalar alpha
+    if not set(ALPHAS).issuperset(np.asarray(alpha).flat):
         raise DomainError(f"alpha must be -1, 0 or +1, got {alpha}")
-    return int(alpha)
-
-
-def coupling_strength(alpha: int, cfg: DriveConfig) -> float:
-    """Branch coupling: 2*delta on the static branch, amp_mw on the
-    transverse sidebands (units of the stored config)."""
-    _check_alpha(alpha)
-    c = cfg.reduced() if cfg.swept else cfg
-    return 2.0 * c.delta if alpha == 0 else c.amp_mw
 
 
 def branch_phase(alpha: int, cfg: DriveConfig) -> float:
@@ -186,10 +177,12 @@ def level_offset(idx: HarmonicIndex, cfg: DriveConfig) -> float:
 
 
 def effective_coupling(idx: HarmonicIndex, cfg: DriveConfig) -> float:
-    """Effective Rabi coupling of one harmonic: (branch coupling / 4) times
-    J_n(A/omega)."""
+    """Effective Rabi coupling of one harmonic: J_n(A/omega) times a quarter
+    of the branch coupling, 2*delta at alpha = 0 and amp_mw at alpha = +-1."""
+    _check_alpha(idx.alpha)
     c = cfg.reduced()
-    return 0.25 * coupling_strength(idx.alpha, c) * bessel_j(idx.n, c.rf_ratio())
+    strength = np.where(idx.alpha == 0, 2.0 * c.delta, c.amp_mw)
+    return 0.25 * strength * bessel_j(idx.n, c.rf_ratio())
 
 
 def passage_phase(idx: HarmonicIndex, cfg: DriveConfig) -> float:

@@ -275,6 +275,22 @@ def test_transfer_matrix_finite_window_variant():
     np.testing.assert_allclose(m @ m.conj().T, np.eye(2), atol=1e-6)
     with pytest.raises(DomainError):
         transfer_matrix(HarmonicIndex(0, 0), cfg, asymptotic=False)
+    # the asymptotic pair has no window; dropping one would answer a
+    # finite-window question with the infinite-window pair
+    for window in (dict(tau_start=-2.0, tau_end=2.0), dict(tau_start=-2.0),
+                   dict(tau_end=2.0)):
+        with pytest.raises(DomainError, match="asymptotic=False"):
+            transfer_matrix(HarmonicIndex(0, 0), cfg, **window)
+
+
+def test_transfer_matrix_refuses_more_than_one_crossing():
+    cfg = DriveConfig(delta=0.2, amp_rf=1.0, freq_rf=1.0, amp_mw=0.1, freq_mw=1.0)
+    for idx in (HarmonicIndex(np.arange(3), 0), HarmonicIndex(0, np.array([-1, 1])),
+                HarmonicIndex(np.arange(2), np.array([0, 1]))):
+        for asymptotic, window in ((True, {}),
+                                   (False, dict(tau_start=-2.0, tau_end=2.0))):
+            with pytest.raises(DomainError, match="one"):
+                transfer_matrix(idx, cfg, asymptotic=asymptotic, **window)
 
 
 def test_finite_transfer_matrices_compose_over_adjacent_windows():
@@ -427,16 +443,22 @@ def test_inverse_lz_completeness_and_zero_coupling():
         assert p_dn == pytest.approx(ref, abs=1e-12)
 
 
+# delta_eff = (A/omega)^2 omega/(8 A_f): 0.5^2/8 = 0.03125, and 9/3 = 3 on
+# the edge of the Weber order box
+INVERSE_LZ_EDGE = DriveConfig(v=0.0, amp_rf=3.0, freq_rf=1.0, amp_mw=0.375, freq_mw=2.0,
+                              phase=math.pi / 2)
+
+
 def test_inverse_lz_matches_numerics():
-    cfg = DriveConfig(v=0.0, amp_rf=0.5, freq_rf=1.0, amp_mw=1.0, freq_mw=2.0,
-                      phase=math.pi / 2)
-    t_f = math.pi / 4
-    tr = propagate_tdse(cfg, tau_start=0.0, tau_end=t_f, tol=1e-12,
-                        sample_stride=t_f)
-    p_up, p_dn = inverse_lz_case(cfg, t_f)
-    n_up, n_dn = tr.final_populations()
-    assert p_up == pytest.approx(n_up, abs=1e-4)
-    assert p_dn == pytest.approx(n_dn, abs=1e-4)
+    weak = DriveConfig(v=0.0, amp_rf=0.5, freq_rf=1.0, amp_mw=1.0, freq_mw=2.0,
+                       phase=math.pi / 2)
+    for cfg, t_f in ((weak, math.pi / 4), (INVERSE_LZ_EDGE, 1.0)):
+        tr = propagate_tdse(cfg, tau_start=0.0, tau_end=t_f, tol=1e-12,
+                            sample_stride=t_f)
+        p_up, p_dn = inverse_lz_case(cfg, t_f)
+        n_up, n_dn = tr.final_populations()
+        assert p_up == pytest.approx(n_up, abs=1e-4)
+        assert p_dn == pytest.approx(n_dn, abs=1e-4)
 
 
 def test_inverse_lz_preconditions():
@@ -446,3 +468,9 @@ def test_inverse_lz_preconditions():
     with pytest.raises(UnsupportedConfigError):
         inverse_lz_case(DriveConfig(v=1.0, amp_rf=0.5, freq_rf=1.0, amp_mw=1.0,
                                     freq_mw=2.0, phase=math.pi / 2), 0.3)
+    # past the Weber order box (delta_eff = 16/2 = 8) the config refuses,
+    # not the special function
+    beyond = dataclasses.replace(INVERSE_LZ_EDGE, amp_rf=4.0, amp_mw=0.25)
+    with pytest.raises(UnsupportedConfigError, match="delta_eff <= 3") as info:
+        inverse_lz_case(beyond, 0.3)
+    assert "weber_d" not in str(info.value)

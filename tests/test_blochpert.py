@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import lzdrive.analytic as analytic
+import lzdrive.blochpert as blochpert
+import lzdrive.model as model
 from lzdrive.blochpert import (
     TruncationSpec,
     ac_as,
@@ -16,8 +19,15 @@ from lzdrive.blochpert import (
     phase_kernel,
 )
 from lzdrive.errors import DomainError
-from lzdrive.model import DriveConfig, HarmonicIndex
-from lzdrive.specfun import scaled_fresnel
+from lzdrive.model import (
+    ALPHAS,
+    DriveConfig,
+    HarmonicIndex,
+    effective_coupling,
+    level_offset,
+    passage_phase,
+)
+from lzdrive.specfun import bessel_j, scaled_fresnel
 from oracles import bloch_perturbative_pairform
 
 CASCADE = dict(delta=0.07, eps0=0.5, amp_rf=25.0, freq_rf=1.0, amp_mw=0.08,
@@ -233,3 +243,48 @@ def test_asymptotic_uz_consistent_with_survival_exponent():
         target = strong_drive_survival(cfg_res)
         # agreement to second order in the exponent
         assert abs(p_up - target) <= 40.0 * (math.pi * d**2) ** 2 + 1e-14
+
+
+def test_harmonic_grid_is_the_stacked_scalar_calls():
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        w = rng.uniform(0.5, 20.0)
+        cfg = DriveConfig(
+            v=rng.uniform(0.3, 3.0), delta=rng.uniform(-0.3, 0.3),
+            eps0=rng.uniform(-3.0, 3.0), amp_rf=rng.uniform(-6.0, 6.0) * w,
+            freq_rf=w, amp_mw=rng.uniform(-0.3, 0.3), freq_mw=rng.uniform(0.2, 3.0),
+            phase=rng.uniform(-7.0, 7.0),
+        )
+        trunc = default_truncation(cfg)
+        couplings, offsets, phases, n, _ = blochpert._harmonic_grid(cfg, trunc)
+        ks = range(-trunc.n_max, trunc.n_max + 1)
+        for got, fn in ((couplings, effective_coupling), (offsets, level_offset),
+                        (phases, passage_phase)):
+            want = [fn(HarmonicIndex(k, alpha), cfg) for alpha in ALPHAS for k in ks]
+            assert np.array_equal(got, want), fn.__name__
+        assert np.array_equal(n, list(ks))
+
+
+def _bessel_calls(monkeypatch, fn, *args):
+    """Calls of bessel_j, through the module bindings, made by fn(*args)."""
+    calls = []
+
+    def counted(n, x):
+        calls.append(n)
+        return bessel_j(n, x)
+
+    for mod in (model, blochpert):
+        monkeypatch.setattr(mod, "bessel_j", counted)
+    fn(*args)
+    return len(calls)
+
+
+def test_harmonic_table_evaluates_bessel_weights_once_per_use(monkeypatch):
+    # one broadcast call gives every coupling; the second call is the
+    # alpha = 0 weights of the rotation sums
+    cfg = DriveConfig(**CASCADE)
+    assert _bessel_calls(monkeypatch, blochpert._harmonic_grid, cfg,
+                         default_truncation(cfg)) == 2
+    resonant = DriveConfig(delta=0.1, eps0=2.0, amp_rf=3.0, freq_rf=1.0, amp_mw=0.1,
+                           freq_mw=2.0, phase=0.3)
+    assert _bessel_calls(monkeypatch, analytic.strong_drive_delta, resonant) == 1

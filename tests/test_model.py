@@ -10,6 +10,7 @@ from lzdrive.model import (
     ALPHAS,
     DriveConfig,
     HarmonicIndex,
+    branch_phase,
     effective_coupling,
     eigenenergies,
     field_vector,
@@ -187,3 +188,12 @@ def test_passage_phase_values():
 def test_alpha_validation():
     with pytest.raises(DomainError):
         level_offset(HarmonicIndex(0, 2), DriveConfig())
+    # one entry outside the branches refuses a whole alpha array
+    cfg = DriveConfig(delta=0.1, amp_rf=2.0, freq_rf=1.0, amp_mw=0.1, freq_mw=1.0)
+    for bad in (2, 0.5):
+        alpha = np.array([-1, 0, bad])
+        for fn in (level_offset, effective_coupling, passage_phase):
+            with pytest.raises(DomainError, match="alpha"):
+                fn(HarmonicIndex(np.arange(3), alpha), cfg)
+        with pytest.raises(DomainError, match="alpha"):
+            branch_phase(alpha, cfg)

@@ -1,4 +1,5 @@
-"""Exact symmetries of the driven crossing, applied to the closed forms.
+"""Exact symmetries of the driven crossing, applied to the closed forms
+and to the numerics over a symmetric window.
 
 Each relation maps a config onto one whose Hamiltonian gives the same
 populations, so every closed form must return the same value on both:
@@ -30,6 +31,7 @@ from lzdrive.analytic import (
     weak_drive_probabilities,
 )
 from lzdrive.blochpert import bloch_asymptotic_uz
+from lzdrive.integrate import propagate_tdse
 from lzdrive.model import DriveConfig
 
 _ENERGIES = ("delta", "eps0", "amp_rf", "freq_rf", "amp_mw", "freq_mw")
@@ -70,16 +72,16 @@ CLOSED_FORMS = {
 
 
 @st.composite
-def drive_configs(draw):
+def drive_configs(draw, max_freq=100.0, max_ratio=60.0):
     # omega up to 100 with |A/omega| up to 60 puts crossings ~6000 out, where
     # (omega_n)^2/2 ~ 2e7: a relation that moves phi by 2 pi holds to 1e-12
     # only if that square is reduced modulo 2 pi before phi is subtracted.
-    w = draw(st.floats(0.5, 100.0))
+    w = draw(st.floats(0.5, max_freq))
     return DriveConfig(
         delta=draw(st.floats(-0.2, 0.2)),
         eps0=draw(st.floats(-5.0, 5.0)),
         # |A/omega| up to 60 takes the default cutoff above its 40 floor
-        amp_rf=draw(st.floats(-60.0, 60.0)) * w,
+        amp_rf=draw(st.floats(-max_ratio, max_ratio)) * w,
         freq_rf=w,
         amp_mw=draw(st.floats(-0.3, 0.3)),
         freq_mw=draw(st.floats(0.2, 3.0)),
@@ -97,3 +99,19 @@ def test_closed_forms_keep_the_exact_symmetries(cfg, s):
         for relation, move in RELATIONS.items():
             moved = f(move(cfg, s))
             assert abs(moved - base) <= 1e-12, (form, relation, base, moved)
+
+
+def _final_p_up(cfg):
+    tr = propagate_tdse(cfg, tau_start=-20.0, tau_end=20.0, tol=1e-10, sample_stride=40.0)
+    return tr.final_populations()[0]
+
+
+# a few ms per propagation, so a small budget and gentle drives; time
+# reversal needs the symmetric window
+@settings(max_examples=25)
+@given(cfg=drive_configs(max_freq=5.0, max_ratio=5.0))
+def test_numerics_keep_the_exact_symmetries(cfg):
+    base = _final_p_up(cfg)
+    for relation in ("time reversal", "sigma_z", "(-A_f, phi + pi)"):
+        moved = _final_p_up(RELATIONS[relation](cfg, 1.0))
+        assert abs(moved - base) <= 1e-9, (relation, base, moved)
