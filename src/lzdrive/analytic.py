@@ -34,7 +34,7 @@ from .model import (
     level_offset,
     passage_phase,
 )
-from .specfun import _WEBER_MAX_ORDER, log_gamma, stokes_phase, weber_d
+from .specfun import _WEBER_MAX_ABS_Z, _WEBER_MAX_ORDER, log_gamma, stokes_phase, weber_d
 
 __all__ = [
     "CayleyKlein",
@@ -295,7 +295,8 @@ def inverse_lz_case(cfg: DriveConfig, t_f: float) -> tuple[float, float]:
     b -> -e^{-i tau_f^2/4} b, whose real and imaginary parts split the bare
     populations.  Only the endpoint values of z enter, so the retraced sweep
     (sin not monotone) needs no special handling.  A v_eff or delta_eff
-    that overflows refuses, and so does delta_eff > 3, the Weber order box."""
+    that overflows refuses, and so do delta_eff > 3 and |tau_f| > 60, the
+    edges of the Weber box."""
     _require(cfg.v == 0.0, "inverse_lz_case requires v = 0")
     _require(cfg.delta == 0.0 and cfg.eps0 == 0.0, "inverse_lz_case requires zero statics")
     _require(
@@ -322,6 +323,12 @@ def inverse_lz_case(cfg: DriveConfig, t_f: float) -> tuple[float, float]:
         f"Weber order box), got delta_eff = {delta_eff:.6g}",
     )
     tau_f = math.sqrt(v_eff) * math.sin(w * t_f)
+    # the pair's Weber arguments have modulus |tau_f|
+    _require(
+        abs(tau_f) <= _WEBER_MAX_ABS_Z,
+        f"inverse_lz_case needs |tau_f| <= {_WEBER_MAX_ABS_Z:g} (the validated "
+        f"Weber argument box), got tau_f = {tau_f:.6g} with v_eff = {v_eff:.6g}",
+    )
     ck = caley_klein_finite(delta_eff, 0.0, tau_f * _EIGHTH_TURN)
     turn = cmath.exp(-0.25j * tau_f * tau_f)
     a, b = -1j * turn * ck.a, -turn * ck.b

@@ -7,9 +7,10 @@ or a degraded value.  The Fresnel integrals for |x| > 1e4 (the leading
 asymptotic term with an exact phase split), the Stokes phase, and Weber's
 parabolic cylinder function D_nu(z) for complex order and argument, which
 scipy does not provide, are evaluated here in double precision.  D_nu takes
-its large-|z| asymptotic expansion from |z| = 12 on and, inside, one Taylor
-recurrence of its ODE, started from DLMF's origin values or from the
-expansion at radius 12.
+its large-|z| asymptotic expansion, one series that gives D and D', from
+|z| = 12 on and, inside, one Taylor recurrence of its ODE, started from
+DLMF's origin values or from the expansion at radius 12.  One connection
+identity, with its coefficients in the exponent, covers the left half-plane.
 
 All functions are deterministic and stateless; array broadcasting is
 supported where the callers need it (Bessel orders, Fresnel).
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -237,45 +238,27 @@ _WEBER_GUARD = 1e-8
 _WEBER_MARCH_STEP = 0.75
 
 
-def _weber_asym(nu: complex, z: complex):
-    """Large-|z| expansion, valid here for |arg z| <= pi/2.
+def _weber_asym(nu: complex, z: complex, log_scale: complex = 0.0):
+    """Large-|z| expansion D_nu(z) = z^nu e^{-z^2/4} sum_k t_k, |arg z| <= pi/2.
 
-    Returns (D, D', err_estimate); the derivative uses
-    D'_nu = nu D_{nu-1} - (z/2) D_nu.
+    One loop sums S = sum t_k and slope = sum -2k t_k = z dS/dz; with
+    P = e^{log_scale} z^nu e^{-z^2/4} it returns (P S, the derivative
+    P (S (nu/z - z/2) + slope/z), |t_k| of the last term).  It stops once a
+    term falls below 1e-18 or after 60 terms.  log_scale rides in the
+    exponent, so a large factor cannot overflow before the product does.
     """
-
-    def tail(order: complex):
-        term = 1.0 + 0.0j
-        total = term
-        best_term = abs(term)
-        best_total = total
-        z2 = z * z
-        k = 1
-        while k < 60:
-            term = term * (order - (2 * k - 2)) * (order - (2 * k - 1)) * (-1.0) / (
-                2.0 * k * z2
-            )
-            at = abs(term)
-            total += term
-            if at < best_term:
-                best_term = at
-                best_total = total
-            if at < 1e-18:
-                return total, at
-            if at > 10.0 * best_term and at > 1e-16:
-                # asymptotic tail started diverging; truncate at its optimum
-                return best_total, best_term
-            k += 1
-        return best_total, best_term
-
-    s0, b0 = tail(nu)
-    s1, b1 = tail(nu - 1.0)
-    lz = cmath.log(z)
-    d0 = cmath.exp(nu * lz - 0.25 * z * z) * s0
-    dm1 = cmath.exp((nu - 1.0) * lz - 0.25 * z * z) * s1
-    dd0 = nu * dm1 - 0.5 * z * d0
-    err = max(b0, b1)
-    return d0, dd0, err
+    z2 = z * z
+    term = 1.0 + 0.0j
+    total = term
+    slope = 0j
+    for k in range(1, 60):
+        term = term * (nu - (2 * k - 2)) * (nu - (2 * k - 1)) * (-1.0) / (2.0 * k * z2)
+        total += term
+        slope -= 2 * k * term
+        if abs(term) < 1e-18:
+            break
+    pref = cmath.exp(log_scale + nu * cmath.log(z) - 0.25 * z * z)
+    return pref * total, pref * (total * (nu / z - 0.5 * z) + slope / z), abs(term)
 
 
 def _weber_taylor(nu: complex, z0: complex, w: complex, hdw: complex, h: complex):
@@ -308,20 +291,21 @@ def _weber_taylor(nu: complex, z0: complex, w: complex, hdw: complex, h: complex
         k += 1
 
 
-def _weber_right(nu: complex, z: complex) -> complex:
-    """D_nu(z) for Re z >= 0 (or |arg z| <= pi/2 boundary cases).
+def _weber_right(nu: complex, z: complex, log_scale: complex = 0.0) -> complex:
+    """e^{log_scale} D_nu(z) for Re z >= 0 (or |arg z| <= pi/2 boundary cases).
 
-    |z| >= 12 takes the asymptotic expansion.  Inside, one Taylor step from
-    the origin values covers |z| <= 3.5; the ring between is Taylor-marched
-    along the ray in steps of at most 0.75, in the direction in which D
-    grows: outward from the origin where Re z^2 < 0, inward from the
-    asymptotic value at radius 12 otherwise.  A Taylor result refuses with
-    AccuracyError when its largest term times 5e-15, or the error of the
-    expansion it starts from, exceeds the guard times |D|.
+    |z| >= 12 takes the asymptotic expansion, which carries log_scale in its
+    exponent.  Inside, one Taylor step from the origin values covers
+    |z| <= 3.5; the ring between is Taylor-marched along the ray in steps of
+    at most 0.75, in the direction in which D grows: outward from the origin
+    where Re z^2 < 0, inward from the expansion's D and D' at radius 12
+    otherwise.  A Taylor result refuses with AccuracyError when its largest
+    term times 5e-15, or the last term of the expansion it starts from,
+    exceeds the guard times |D|.
     """
     az = abs(z)
     if az >= _WEBER_ASYM_RADIUS:
-        val, _, err = _weber_asym(nu, z)
+        val, _, err = _weber_asym(nu, z, log_scale)
         if err > _WEBER_GUARD:
             raise AccuracyError(
                 f"weber_d asymptotic series not converged at nu={nu}, z={z}"
@@ -352,25 +336,23 @@ def _weber_right(nu: complex, z: complex) -> complex:
             f"weber_d estimated relative error {err:.2e} exceeds the guard at "
             f"nu={nu}, z={z}"
         )
-    return w
+    return w * cmath.exp(log_scale)
 
 
 def _weber(nu: complex, z: complex) -> complex:
     if z.real >= 0.0:
         return _weber_right(nu, z)
-    # reflect into the right half-plane; the two connection identities are
-    # complex-conjugate partners, chosen so both arguments land at
-    # |arg| <= pi/2
-    if z.imag >= 0.0:
-        c1 = cmath.exp(1j * math.pi * nu)
-        c2 = _SQRT_2PI * reciprocal_gamma(-nu) * cmath.exp(0.5j * math.pi * (nu + 1.0))
-        other = -1j * z
-    else:
-        c1 = cmath.exp(-1j * math.pi * nu)
-        c2 = _SQRT_2PI * reciprocal_gamma(-nu) * cmath.exp(-0.5j * math.pi * (nu + 1.0))
-        other = 1j * z
-    t1 = c1 * _weber_right(nu, -z)
-    t2 = c2 * _weber_right(-nu - 1.0, other)
+    # reflect into the right half-plane with the connection identity
+    # D_nu(z) = c1 D_nu(-z) + c2 D_{-nu-1}(-s i z) of DLMF 12.2, s the sign of
+    # Im z so that both arguments land at |arg| <= pi/2; the coefficients
+    # enter as logarithms, so neither term overflows before the sum does, and
+    # c2 = 0 where nu is a non-negative integer
+    s = 1.0 if z.imag >= 0.0 else -1.0
+    t1 = _weber_right(nu, -z, s * 1j * math.pi * nu)
+    t2 = 0j
+    if not _is_nonpositive_integer(-nu):
+        log_c2 = _LOG_SQRT_2PI - log_gamma(-nu) + 0.5j * s * math.pi * (nu + 1.0)
+        t2 = _weber_right(-nu - 1.0, -s * 1j * z, log_c2)
     out = t1 + t2
     # measured piece errors are correlated, so even strong cancellation keeps
     # the relative error ~1e-11; this only catches catastrophic loss
@@ -387,11 +369,8 @@ def weber_d(nu, z) -> complex:
     Relative error <= 1e-8 over the validated box |z| <= 60,
     max(|Re nu|, |Im nu|) <= 3; arguments outside it raise DomainError,
     and internal cancellation beyond the guard or a subnormal or underflowed
-    result raises AccuracyError rather than returning silent garbage.
-    Overflow raises AccuracyError too, with a margin: in the left half-plane
-    the two connection terms can overflow before their sum does, so some
-    representable results refuse (nu = -2.557+2.204i, z = -14.62+55.66i,
-    |D| ~ 8.1e306).
+    result raises AccuracyError rather than returning silent garbage, and so
+    does a result beyond the double range.
     """
     nu = complex(nu)
     z = complex(z)

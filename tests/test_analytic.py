@@ -474,3 +474,10 @@ def test_inverse_lz_preconditions():
     with pytest.raises(UnsupportedConfigError, match="delta_eff <= 3") as info:
         inverse_lz_case(beyond, 0.3)
     assert "weber_d" not in str(info.value)
+    # and so does a window past the Weber argument box: v_eff = 4000 puts
+    # |tau_f| = 63.1 beyond 60 at t = 1.5, while t = 0.01 stays inside it
+    steep = dataclasses.replace(INVERSE_LZ_EDGE, amp_rf=1.0, amp_mw=2000.0)
+    with pytest.raises(UnsupportedConfigError, match="tau_f") as info:
+        inverse_lz_case(steep, 1.5)
+    assert "v_eff" in str(info.value) and "weber_d" not in str(info.value)
+    assert inverse_lz_case(steep, 0.01)[0] == pytest.approx(0.990034006523344, abs=1e-12)

@@ -471,14 +471,19 @@ def test_cli_overflowing_inputs_exit_2(tmp_path, capsys):
 
 
 def test_cli_inverse_lz_beyond_the_weber_order_box_exits_2(tmp_path, capsys):
-    # A/omega = 4, A_f = 0.25, omega = 1: delta_eff = 8
-    cfg = tmp_path / "flat.cfg"
-    cfg.write_text("v = 0\namp_rf = 4\nfreq_rf = 1\namp_mw = 0.25\nfreq_mw = 2\n"
-                   "phase = 1.5707963267948966\n")
-    argv = ["compare", "--config", str(cfg), "--method", "inverse_lz", "--threshold", "0.1"]
-    assert cli_main(argv) == 2
-    err = capsys.readouterr().err
-    assert "delta_eff" in err and "weber_d" not in err
+    for amp_rf, amp_mw, why in (
+        # A/omega = 4, A_f = 0.25, omega = 1: delta_eff = 8
+        (4, 0.25, "delta_eff"),
+        # v_eff = 4000: |tau_f| = sqrt(v_eff) |sin(omega t)| passes 60
+        (1, 2000, "tau_f"),
+    ):
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(f"v = 0\namp_rf = {amp_rf}\nfreq_rf = 1\namp_mw = {amp_mw}\n"
+                       "freq_mw = 2\nphase = 1.5707963267948966\n")
+        argv = ["compare", "--config", str(cfg), "--method", "inverse_lz", "--threshold", "0.1"]
+        assert cli_main(argv) == 2, why
+        err = capsys.readouterr().err
+        assert why in err and "weber_d" not in err, err
 
 
 def test_run_sweep_types_overflowing_cells():

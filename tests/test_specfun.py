@@ -23,6 +23,7 @@ import pytest
 from lzdrive.errors import AccuracyError, DomainError
 from lzdrive.harness import SELFTEST_CHECKS
 from lzdrive.specfun import (
+    _weber_asym,
     bessel_j,
     bessel_j_sequence,
     fresnel,
@@ -347,11 +348,20 @@ def test_weber_domain_errors():
     # returning a silent 0 with relative error 1
     with pytest.raises(AccuracyError):
         weber_d(0.0, 59.9)
-    # |D| ~ 8.1e306 is representable here, but the left-half-plane
-    # reflection's intermediate terms overflow first: the documented margin
-    # refuses instead of returning inf
-    with pytest.raises(AccuracyError):
-        weber_d(complex(-2.557, 2.204), complex(-14.62, 55.66))
+    # |D| ~ 8.1e306 and, from a seeded box draw below the real axis,
+    # ~ 1.1e308 are representable, and the left-half-plane reflection
+    # evaluates them: its connection terms are scaled in their exponents, so
+    # they do not overflow before their sum
+    mpmath = pytest.importorskip("mpmath")
+    for nu, z in (
+        (complex(-2.557, 2.204), complex(-14.62, 55.66)),
+        (complex(-0.5640817604574728, -2.81985353836643),
+         complex(-5.727372222652756, -53.832884735846484)),
+    ):
+        got = weber_d(nu, z)
+        with mpmath.workdps(30):
+            ref = mpmath.pcfd(nu, z)
+            assert abs(mpmath.mpc(got) - ref) <= 1e-12 * abs(ref), (nu, z)
 
 
 def test_weber_subnormal_result_refuses_or_meets_contract():
@@ -366,3 +376,24 @@ def test_weber_subnormal_result_refuses_or_meets_contract():
     with mpmath.workdps(30):
         ref = complex(mpmath.pcfd(nu, z))
     assert abs(got - ref) <= 1e-8 * abs(ref)
+
+
+def test_weber_expansion_converges_and_gives_the_derivative():
+    # seeded points of the expansion's sector |z| in [12, 60], |arg z| <=
+    # pi/2, with orders over the box and over the reflection's -nu - 1.
+    # Every sum stops on a term below 1e-18, never at the 60-term cap, and
+    # the D' that starts the march, from the same terms, meets
+    # D'_nu = nu D_{nu-1} - (z/2) D_nu with D_{nu-1} from a second series;
+    # the scale z^2/4 removes the Gaussian, which overflows near the
+    # imaginary axis
+    rng = np.random.default_rng(RNG_SEED + 20)
+    count = 2000
+    zs = rng.uniform(12.0, 60.0, count) * np.exp(0.5j * math.pi * rng.uniform(-1.0, 1.0, count))
+    nus = rng.uniform(-4.0, 3.0, count) + 1j * rng.uniform(-3.0, 3.0, count)
+    for nu, z in zip(nus.tolist(), zs.tolist()):
+        scale = 0.25 * z * z
+        d, dd, last = _weber_asym(nu, z, scale)
+        assert last < 1e-18, (nu, z, last)
+        dm1, _, _ = _weber_asym(nu - 1.0, z, scale)
+        rhs = nu * dm1 - 0.5 * z * d
+        assert abs(dd - rhs) <= 1e-13 * abs(rhs), (nu, z)
