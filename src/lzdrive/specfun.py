@@ -8,8 +8,9 @@ asymptotic term with an exact phase split), the Stokes phase, and Weber's
 parabolic cylinder function D_nu(z) for complex order and argument, which
 scipy does not provide, are evaluated here in double precision.  D_nu takes
 its large-|z| asymptotic expansion, one series that gives D and D', from
-|z| = 12 on and, inside, one Taylor recurrence of its ODE, started from
-DLMF's origin values or from the expansion at radius 12.  One connection
+|z| = 12 on and wherever in 3.5 < |z| < 12 it already converges to 1e-13;
+elsewhere inside, one Taylor recurrence of its ODE, started from DLMF's
+origin values or from the expansion at radius 12.  One connection
 identity, with its coefficients in the exponent, covers the left half-plane.
 
 All functions are deterministic and stateless; array broadcasting is
@@ -236,6 +237,7 @@ _WEBER_MAX_ABS_Z = 60.0
 _WEBER_MAX_ORDER = 3.0
 _WEBER_GUARD = 1e-8
 _WEBER_MARCH_STEP = 0.75
+_WEBER_SERIES_TOL = 1e-13
 
 
 def _weber_asym(nu: complex, z: complex, log_scale: complex = 0.0):
@@ -243,22 +245,32 @@ def _weber_asym(nu: complex, z: complex, log_scale: complex = 0.0):
 
     One loop sums S = sum t_k and slope = sum -2k t_k = z dS/dz; with
     P = e^{log_scale} z^nu e^{-z^2/4} it returns (P S, the derivative
-    P (S (nu/z - z/2) + slope/z), |t_k| of the last term).  It stops once a
-    term falls below 1e-18 or after 60 terms.  log_scale rides in the
+    P (S (nu/z - z/2) + slope/z), |t_k| of the last term summed).  It stops
+    once a term falls below 1e-18, before the first term larger than the one
+    before it, or after 60 terms.  From |z| = 12 on the terms fall below
+    1e-18 before they could grow; inside, where the series diverges sooner,
+    the second stop ends it near its smallest term, whose size (about
+    e^{-|z|^2/2}, DLMF 12.9) bounds the error.  log_scale rides in the
     exponent, so a large factor cannot overflow before the product does.
     """
     z2 = z * z
     term = 1.0 + 0.0j
     total = term
     slope = 0j
+    last = 1.0
     for k in range(1, 60):
-        term = term * (nu - (2 * k - 2)) * (nu - (2 * k - 1)) * (-1.0) / (2.0 * k * z2)
+        step = term * (nu - (2 * k - 2)) * (nu - (2 * k - 1)) * (-1.0) / (2.0 * k * z2)
+        size = abs(step)
+        if size > last:
+            break
+        term = step
         total += term
         slope -= 2 * k * term
-        if abs(term) < 1e-18:
+        last = size
+        if last < 1e-18:
             break
     pref = cmath.exp(log_scale + nu * cmath.log(z) - 0.25 * z * z)
-    return pref * total, pref * (total * (nu / z - 0.5 * z) + slope / z), abs(term)
+    return pref * total, pref * (total * (nu / z - 0.5 * z) + slope / z), last
 
 
 def _weber_taylor(nu: complex, z0: complex, w: complex, hdw: complex, h: complex):
@@ -295,13 +307,15 @@ def _weber_right(nu: complex, z: complex, log_scale: complex = 0.0) -> complex:
     """e^{log_scale} D_nu(z) for Re z >= 0 (or |arg z| <= pi/2 boundary cases).
 
     |z| >= 12 takes the asymptotic expansion, which carries log_scale in its
-    exponent.  Inside, one Taylor step from the origin values covers
-    |z| <= 3.5; the ring between is Taylor-marched along the ray in steps of
-    at most 0.75, in the direction in which D grows: outward from the origin
-    where Re z^2 < 0, inward from the expansion's D and D' at radius 12
-    otherwise.  A Taylor result refuses with AccuracyError when its largest
-    term times 5e-15, or the last term of the expansion it starts from,
-    exceeds the guard times |D|.
+    exponent.  So does the ring 3.5 < |z| < 12 wherever the expansion's last
+    term is at most 1e-13, an accuracy the march below reaches too; that
+    holds over most of the ring from |z| of about 8 on.  Inside, one Taylor
+    step from the origin values covers |z| <= 3.5; the rest of the ring is
+    Taylor-marched along the ray in steps of at most 0.75, in the direction
+    in which D grows: outward from the origin where Re z^2 < 0, inward from
+    the expansion's D and D' at radius 12 otherwise.  A Taylor result
+    refuses with AccuracyError when its largest term times 5e-15, or the
+    last term of the expansion it starts from, exceeds the guard times |D|.
     """
     az = abs(z)
     if az >= _WEBER_ASYM_RADIUS:
@@ -311,6 +325,10 @@ def _weber_right(nu: complex, z: complex, log_scale: complex = 0.0) -> complex:
                 f"weber_d asymptotic series not converged at nu={nu}, z={z}"
             )
         return val
+    if az > _WEBER_DISK_RADIUS:
+        val, _, last = _weber_asym(nu, z, log_scale)
+        if last <= _WEBER_SERIES_TOL:
+            return val
     if az <= _WEBER_DISK_RADIUS or (z * z).real < 0.0:
         # D_nu(0) and D'_nu(0), DLMF 12.2.6-7
         start, err = 0j, 0.0

@@ -208,15 +208,25 @@ def test_truncation_validation():
     cfg = DriveConfig(**CASCADE)  # A/omega = 25
     with pytest.raises(DomainError):
         bloch_perturbative(0.0, cfg, TruncationSpec(10))
-    assert default_truncation(cfg).n_max == 45
+    assert default_truncation(cfg).n_max == 60
     assert default_truncation(DriveConfig()).n_max == 40
     # J_n(-x) = (-1)^n J_n(x): the sign of A/omega moves no sideband, so it
     # changes neither the cutoff nor the guard
     for amp in (30.0, -30.0):
         cfg = DriveConfig(amp_rf=amp, freq_rf=1.0)
-        assert default_truncation(cfg).n_max == 50
+        assert default_truncation(cfg).n_max == 67
         with pytest.raises(DomainError, match=r"ceil\(\|A/omega\|\) = 30"):
             TruncationSpec(5).validate_for(cfg)
+
+
+def test_default_truncation_leaves_only_negligible_bessel_weights():
+    # over the validated |A/omega| <= 100 every J_m beyond the default cutoff
+    # is below 1e-16; past m = |x|, |J_m(x)| falls monotonically in m, so the
+    # first 40 orders beyond the cutoff bound the rest
+    for x in np.linspace(-100.0, 100.0, 4001):
+        n_max = default_truncation(DriveConfig(amp_rf=x, freq_rf=1.0)).n_max
+        tail = bessel_j(np.arange(n_max + 1, n_max + 41), x)
+        assert np.max(np.abs(tail)) < 1e-16, (x, n_max)
 
 
 def test_asymptotic_uz_values():

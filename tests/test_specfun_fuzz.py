@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from lzdrive.errors import AccuracyError, DomainError
 from lzdrive.specfun import bessel_j, fresnel, log_gamma, weber_d
+from test_specfun import weber_series_seam
 
 DPS = 30
 
@@ -113,7 +114,9 @@ def test_bessel_absolute_error(n, x):
 
 
 def _weber_seams(test):
-    """Pin the origin, the disk edge and the asymptotic radius of weber_d.
+    """Pin the origin, the disk edge, the asymptotic radius of weber_d and,
+    for each order, the two sides of the radius from which its ring takes
+    the expansion instead of the Taylor march.
 
     The points lie on the diagonal z = r e^{i pi/4}, where Re z^2 = 0
     separates the outward and inward marches and along which
@@ -122,10 +125,11 @@ def _weber_seams(test):
     """
     diagonal = cmath.exp(0.25j * math.pi)
     radii = (3.5, math.nextafter(3.5, 4.0), 12.0 * (1.0 - 1e-12))
-    points = [0j] + [s * r * diagonal for r in radii for s in (1.0, -1.0)]
     for nu in (-0.3j, -1.0 - 0.3j):
-        for z in points:
-            test = example(nu=nu, z=z)(test)
+        for r in radii + weber_series_seam(nu, diagonal):
+            for z in (r * diagonal, -r * diagonal):
+                test = example(nu=nu, z=z)(test)
+        test = example(nu=nu, z=0j)(test)
     return test
 
 
