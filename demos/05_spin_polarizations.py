@@ -37,6 +37,6 @@ with open("polarizations.csv", "w", newline="") as fh:
         writer.writerow(list(np.concatenate([[tr.taus[k]], tr.data[k], pert[k]])))
 print("trace written to polarizations.csv")
 
-# the rotation sums are unimodular when only one harmonic survives
+# the rotation sums are cos and sin of the longitudinal phase, so unimodular
 a_c, a_s = ac_as(np.array([-5.0, 0.0, 5.0]), DriveConfig(delta=0.07), TruncationSpec(4))
 print("single-harmonic check a_c^2 + a_s^2 =", a_c**2 + a_s**2)

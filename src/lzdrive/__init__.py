@@ -10,7 +10,7 @@ Layers:
   bookkeeping.
 - ``integrate``: sixth-order Magnus propagation (three Gauss points per
   step) of the Schrodinger equation in the frame of the exact longitudinal
-  phase, with a step-doubling error estimate held to the requested
+  phase, with a Richardson error estimate held to the requested
   tolerance; Bloch trajectories are its SO(3) image (numeric ground truth).
 - ``analytic``: closed-form survival/transition probabilities for strong and
   weak longitudinal drive, Cayley-Klein parameters, unswept special cases.

@@ -4,8 +4,9 @@ In the non-adiabatic regime every (n, alpha) harmonic of the double drive
 contributes one crossing whose accumulated response is a shifted Fresnel
 pair.  The kernels L and M combine those pairs with the passage phase; the
 transverse polarizations u_x, u_y additionally carry the longitudinal
-rotation through the a_c, a_s sums, and the population difference u_z is a
-sum of squares of coupling-weighted kernels.
+rotation through the a_c, a_s sums, which sum to cos and sin of the
+longitudinal phase, and the population difference u_z is a sum of squares
+of coupling-weighted kernels.
 
 All evaluators accept scalar or array times and vectorize over the harmonic
 grid, so full-window traces with n_max = 40 stay cheap.
@@ -27,9 +28,10 @@ from .model import (
     HarmonicIndex,
     effective_coupling,
     level_offset,
+    longitudinal_phase,
     passage_phase,
 )
-from .specfun import bessel_j, scaled_fresnel
+from .specfun import scaled_fresnel
 
 __all__ = [
     "TruncationSpec",
@@ -120,9 +122,7 @@ def fg_kernels(x, xp):
 
 def _harmonic_grid(cfg: DriveConfig, trunc: TruncationSpec):
     """Couplings, offsets and passage phases on the (n, alpha) grid, one
-    broadcast call each, raveled alpha-major to length 3*(2*n_max + 1); plus
-    n and its Bessel weights J_n(A/omega), which the rotation sums need and
-    the couplings cannot give back when delta = 0."""
+    broadcast call each, raveled alpha-major to length 3*(2*n_max + 1)."""
     trunc.validate_for(cfg)
     n = np.arange(-trunc.n_max, trunc.n_max + 1)
     grid = HarmonicIndex(n, np.array(ALPHAS)[:, None])
@@ -130,27 +130,20 @@ def _harmonic_grid(cfg: DriveConfig, trunc: TruncationSpec):
         effective_coupling(grid, cfg).ravel(),
         level_offset(grid, cfg).ravel(),
         passage_phase(grid, cfg).ravel(),
-        n,
-        bessel_j(n, cfg.reduced().rf_ratio()),
     )
-
-
-def _rotation_sums(t, n, j_n, cfg: DriveConfig):
-    """a_c, a_s at the 1-D times t over the alpha = 0 phase kernels of the
-    photon indices n with Bessel weights j_n."""
-    kern = phase_kernel(t[:, None], HarmonicIndex(n, 0), cfg)
-    return np.sum(j_n * np.cos(kern), axis=1), np.sum(j_n * np.sin(kern), axis=1)
 
 
 def ac_as(tau, cfg: DriveConfig, trunc: TruncationSpec):
     """Longitudinal rotation sums a_c = sum_n J_n cos(K_n), a_s with sin,
-    over the alpha = 0 phase kernels; broadcasts over tau."""
-    _, _, _, n, j_n = _harmonic_grid(cfg, trunc)
-    tau = np.asarray(tau, dtype=float)
-    a_c, a_s = _rotation_sums(np.atleast_1d(tau), n, j_n, cfg)
-    if tau.ndim == 0:
-        return float(a_c[0]), float(a_s[0])
-    return a_c, a_s
+    over the alpha = 0 phase kernels; broadcasts over tau.  By Jacobi-Anger
+    the untruncated sums are cos theta and sin theta of the longitudinal
+    phase, which is what this returns; trunc is validated as for
+    ``bloch_perturbative``."""
+    trunc.validate_for(cfg)
+    theta = longitudinal_phase(np.asarray(tau, dtype=float), cfg)
+    if theta.ndim == 0:
+        return math.cos(theta), math.sin(theta)
+    return np.cos(theta), np.sin(theta)
 
 
 def bloch_perturbative(tau, cfg: DriveConfig, trunc: TruncationSpec | None = None):
@@ -161,7 +154,7 @@ def bloch_perturbative(tau, cfg: DriveConfig, trunc: TruncationSpec | None = Non
     as-is, not clamped."""
     if trunc is None:
         trunc = default_truncation(cfg)
-    couplings, offsets, phases, n, j_n = _harmonic_grid(cfg, trunc)
+    couplings, offsets, phases = _harmonic_grid(cfg, trunc)
     tau = np.asarray(tau, dtype=float)
     scalar = tau.ndim == 0
     t = np.atleast_1d(tau)
@@ -169,7 +162,7 @@ def bloch_perturbative(tau, cfg: DriveConfig, trunc: TruncationSpec | None = Non
     lk, mk = lm_kernel(t[:, None] + offsets, phases)
     sum_l = np.sum(couplings[None, :] * lk, axis=1)
     sum_m = np.sum(couplings[None, :] * mk, axis=1)
-    a_c, a_s = _rotation_sums(t, n, j_n, cfg)
+    a_c, a_s = ac_as(t, cfg, trunc)
 
     out = np.empty(t.shape + (3,))
     out[:, 0] = _TWO_SQRT_PI * (a_c * sum_l + a_s * sum_m)
@@ -185,7 +178,7 @@ def bloch_asymptotic_uz(cfg: DriveConfig, trunc: TruncationSpec | None = None) -
     J J' cos(Psi - Psi'), evaluated through its sum-of-squares form."""
     if trunc is None:
         trunc = default_truncation(cfg)
-    couplings, _, phases, _, _ = _harmonic_grid(cfg, trunc)
+    couplings, _, phases = _harmonic_grid(cfg, trunc)
     re = float(np.sum(couplings * np.cos(phases)))
     im = float(np.sum(couplings * np.sin(phases)))
     return 1.0 - 4.0 * math.pi * (re * re + im * im)

@@ -307,7 +307,7 @@ def run_trace(spec: RunSpec) -> str:
         sample_stride=spec.stride,
     )
     cols = np.column_stack([tr.taus, tr.populations(), spinor_to_bloch(tr.data)])
-    return _csv("tau,p_up,p_dn,ux,uy,uz", (map(_fmt, row) for row in cols))
+    return _csv("tau,p_up,p_dn,ux,uy,uz", (map(_fmt, row) for row in cols.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +376,10 @@ def _bloch_pert_samples(spec):
     )
     pert = bloch_perturbative(tr.taus, spec.cfg, spec.truncation())
     out = []
-    for k, tau in enumerate(tr.taus):
-        for i, comp in enumerate(("ux", "uy", "uz")):
-            out.append(
-                {
-                    "where": f"{comp}@tau={_fmt(tau)}",
-                    "analytic": float(pert[k, i]),
-                    "numeric": float(tr.data[k, i]),
-                }
-            )
+    for tau, analytic, numeric in zip(tr.taus.tolist(), pert.tolist(), tr.data.tolist()):
+        at = _fmt(tau)
+        for comp, a, n in zip(("ux", "uy", "uz"), analytic, numeric):
+            out.append({"where": f"{comp}@tau={at}", "analytic": a, "numeric": n})
     return out
 
 

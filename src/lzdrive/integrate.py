@@ -19,19 +19,24 @@ product.  The step is the closed-form SU(2) rotation exp(-i c.sigma/2), so
 propagation is unitary by construction, and a vanishing transverse field
 gives exactly the identity.  Steps are evaluated in numpy blocks of 2^12,
 small enough for each temporary to stay in the L2 cache; the steps inside
-one sample interval are multiplied with a pairwise tree, and a running
-product carries the state across the samples.  Sampled states are mapped
-back to the diabatic basis, so trajectories are reported in the lab frame.
+one sample interval are multiplied with a pairwise tree, and the prefix
+products of a log-depth scan carry the state across the samples.  Sampled
+states are mapped back to the diabatic basis, so trajectories are reported
+in the lab frame.
 
-The step count follows tol by step doubling: the first pass takes about one
-step per 4 radians of the frame's fastest rate, and the solve with 2N steps
-per sample interval is accepted once the Richardson estimate
-max |psi_2N - psi_N| / 63 over every sampled amplitude is <= tol.  Past a
-step budget ``solve_ivp`` raises IntegrationError itself, at the first
-sample whose estimate misses tol.  ``propagate_tdse`` rotates the initial
-state into the frame, makes that one call, and rotates the samples back.
-Every trajectory carries the work done, the error estimate and the wall
-time in its ``stats``.
+The step count follows tol by a ladder of passes.  The first pass takes
+about one step per 4 radians of the frame's fastest rate, and the second
+twice as many per sample interval.  A pass with M steps per interval is
+accepted once the Richardson estimate max |psi_M - psi_N| / ((M/N)^6 - 1)
+over every sampled amplitude is <= tol, where the pass before had N.
+After a miss the h^6 law sets the next M to M (2 est/tol)^(1/6), aiming at
+tol/2 (Hairer, Norsett & Wanner, Solving ODEs I, II.4), kept between
+M + max(1, M/4) and 4M, and to no more than 2M when the law has 2M meet
+tol.  Past a step budget ``solve_ivp`` raises IntegrationError itself, at
+the first sample whose estimate misses tol.  ``propagate_tdse`` rotates the
+initial state into the frame, makes that one call, and rotates the samples
+back.  Every trajectory carries the work done, the error estimate and the
+wall time in its ``stats``.
 
 The Bloch flow du/dtau = b x u is the rotation that the SU(2) propagator
 induces, so it is linear in u: a Bloch trajectory is the image of the
@@ -39,7 +44,7 @@ spinor trajectory that starts on the direction of u0, scaled by |u0|.
 
 Norm drift beyond 1e-9 raises IntegrationError instead of being
 renormalized away, so defects in the products or the frame mapping cannot
-hide; integrator error is what the step-doubling estimate measures.
+hide; integrator error is what the Richardson estimate measures.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .model import DriveConfig
+from .model import DriveConfig, longitudinal_phase
 
 __all__ = [
     "SolveStats",
@@ -67,7 +72,7 @@ __all__ = [
 _NORM_TOL = 1e-9
 _TOL_MIN, _TOL_MAX = 1e-13, 1e-6
 _BLOCK = 2**12  # Magnus steps per numpy block: each temporary (64 KB) stays in L2
-_MAX_STEPS = 2**22  # step budget of one doubling pass
+_MAX_STEPS = 2**22  # step budget of one pass of the ladder
 # the three Gauss points of a step at h (1/2 + (-1, 0, 1) sqrt(15)/10), on a leading axis
 _NODES = 0.5 + np.array([-1.0, 0.0, 1.0])[:, None, None] * (math.sqrt(15.0) / 10.0)
 _NODE_W = math.sqrt(15.0) / 3.0  # weight of g3 - g1 in a2
@@ -78,9 +83,9 @@ _NORTH = np.array([0.0, 0.0, 1.0])
 @dataclass(frozen=True)
 class SolveStats:
     """How a trajectory was produced: Magnus steps of the returned pass,
-    field evaluations (three per step) summed over all doubling passes, the
-    Richardson error estimate of the returned amplitudes, and wall time in
-    seconds."""
+    field evaluations (three per step) summed over every pass of the step
+    ladder, the Richardson error estimate of the returned amplitudes (the
+    pass-to-pass difference over (M/N)^6 - 1), and wall time in seconds."""
 
     steps: int
     nfev: int
@@ -124,13 +129,9 @@ def _make_frame(cfg: DriveConfig, t_max: float) -> _Frame:
     ramp = 1.0 if cfg.swept else 0.0
     delta, eps0, a, w = c.delta, c.eps0, c.amp_rf, c.freq_rf
     af, wf, phi = c.amp_mw, c.freq_mw, c.phase
-    aw = a / w if a != 0.0 else 0.0
 
     def theta(t):
-        s = 0.5 * ramp * t * t + eps0 * t
-        if aw != 0.0:
-            s = s + aw * np.sin(w * t)
-        return s
+        return longitudinal_phase(t, c)
 
     def bx(t):
         if af == 0.0:
@@ -190,25 +191,29 @@ def _compose(a2, b2, a1, b1):
 
 def _tree_product(a, b):
     """Ordered product along the last axis (later steps on the left) by
-    pairwise reduction; that axis has a power-of-two length."""
+    pairwise reduction; at an odd length the last step waits one level."""
     while a.shape[-1] > 1:
-        a, b = _compose(a[..., 1::2], b[..., 1::2], a[..., 0::2], b[..., 0::2])
+        pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:-1:2], b[..., 0:-1:2])
+        if a.shape[-1] % 2:
+            pa = np.concatenate((pa, a[..., -1:]), axis=-1)
+            pb = np.concatenate((pb, b[..., -1:]), axis=-1)
+        a, b = pa, pb
     return a[..., 0], b[..., 0]
 
 
 def _interval_pairs(frame: _Frame, edges: np.ndarray, m: int):
     """Cayley-Klein pairs of the propagator across each sample interval,
-    each split into m (a power of two) equal Magnus steps."""
+    each split into m equal Magnus steps."""
     starts, h = edges[:-1], np.diff(edges) / m
     per = max(1, _BLOCK // m)  # whole intervals in one block
-    parts = max(1, m // _BLOCK)  # blocks in one interval
-    k = np.arange(m // parts)
+    parts = -(-m // _BLOCK)  # blocks in one interval
+    cuts = [p * m // parts for p in range(parts + 1)]
     out_a, out_b = [], []
     for i in range(0, h.size, per):
         lo, hk = starts[i:i + per, None], h[i:i + per, None]
         a, b = np.ones(lo.shape[0], complex), np.zeros(lo.shape[0], complex)
-        for p in range(parts):
-            pa, pb = _tree_product(*_step_pairs(frame, lo + hk * (p * k.size + k), hk))
+        for j0, j1 in zip(cuts, cuts[1:]):
+            pa, pb = _tree_product(*_step_pairs(frame, lo + hk * np.arange(j0, j1), hk))
             a, b = _compose(pa, pb, a, b)
         out_a.append(a)
         out_b.append(b)
@@ -216,13 +221,16 @@ def _interval_pairs(frame: _Frame, edges: np.ndarray, m: int):
 
 
 def _running_product(a, b, y0) -> np.ndarray:
-    """(2, len(a) + 1) states y_{k+1} = U_k y_k from y_0 = y0."""
-    u, d = complex(y0[0]), complex(y0[1])
-    out = [(u, d)]
-    for ak, bk in zip(a.tolist(), b.tolist()):
-        u, d = ak * u + bk * d, ak.conjugate() * d - bk.conjugate() * u
-        out.append((u, d))
-    return np.array(out).T
+    """(2, len(a) + 1) states y_{k+1} = U_k y_k from y_0 = y0, from the
+    prefix products U_k ... U_0 of a log-depth scan."""
+    a, b = a.copy(), b.copy()
+    s = 1
+    while s < a.size:
+        a[s:], b[s:] = _compose(a[s:], b[s:], a[:-s], b[:-s])
+        s *= 2
+    u, d = y0
+    return np.stack([np.concatenate(([u], a * u + b * d)),
+                     np.concatenate(([d], a.conj() * d - b.conj() * u))])
 
 
 class MagnusResult(NamedTuple):
@@ -239,11 +247,12 @@ def solve_ivp(frame: _Frame, taus, y0, tol: float) -> MagnusResult:
     times taus (taus[0] is the start; decreasing times run backwards).
 
     The first pass takes about one step per 4 radians of the frame's fastest
-    rate; each further pass doubles the steps per sample interval until
-    max |psi_2N - psi_N| / 63 <= tol.  When the next pass would exceed the
-    step budget it raises IntegrationError at the first sample whose
-    estimate misses tol, or at taus[0] when the first pass alone fills the
-    budget.  This is the module's solver entry point under the name
+    rate and the second doubles the steps per sample interval; each later
+    pass takes the count that the h^6 law predicts, until
+    max |psi_M - psi_N| / ((M/N)^6 - 1) <= tol.  When the next pass would
+    exceed the step budget it raises IntegrationError at the first sample
+    whose estimate misses tol, or at taus[0] when the first pass alone fills
+    the budget.  This is the module's solver entry point under the name
     ``perfbench/tracer.py`` counts (calls and ``nfev``), so it stays bound
     here as ``solve_ivp``, is called through that binding, and stays
     outside ``__all__``."""
@@ -251,18 +260,25 @@ def solve_ivp(frame: _Frame, taus, y0, tol: float) -> MagnusResult:
     n_int = edges.size - 1
     longest = float(np.max(np.abs(np.diff(edges))))
     m = 1 << max(0, math.ceil(math.log2(max(1.0, 0.25 * longest * frame.rate))))
-    nfev, prev, err = 0, None, None
+    nfev, prev, err, m_next = 0, None, None, 2 * m
     while m * n_int <= _MAX_STEPS:
         y = _running_product(*_interval_pairs(frame, edges, m), y0)
         nfev += 3 * m * n_int
         if prev is not None:
-            err = np.max(np.abs(y - prev), axis=0) / 63.0
+            err = np.max(np.abs(y - prev), axis=0) / ((m / m_prev) ** 6 - 1.0)
             est = float(err.max())
             if est <= tol:
                 return MagnusResult(y, m * n_int, nfev, est)
-        prev, m = y, 2 * m
+            # the h^6 law puts tol/2 at m (2 est/tol)^(1/6) steps (min()
+            # keeps 4.0 when the estimate is inf or NaN), but a doubling
+            # that the law says meets tol is taken as it is
+            grow = min(4.0, (2.0 * est / tol) ** (1.0 / 6.0))
+            m_next = max(m + max(1, m // 4), math.ceil(m * grow))
+            if est <= 64.0 * tol:
+                m_next = min(m_next, 2 * m)
+        prev, m_prev, m = y, m, m_next
     if err is None:
-        k, why = 0, f"step doubling needs more than {_MAX_STEPS} steps"
+        k, why = 0, f"step ladder needs more than {_MAX_STEPS} steps"
     else:
         k = int(np.argmax(err > tol))
         why = (f"error estimate {est:.3e} exceeds tol {tol:g} at the budget of "
@@ -302,7 +318,7 @@ def propagate_tdse(
         # one per 4 radians of the frame's rate, so this solve can never fit
         # the budget; refuse before allocating the grid or evaluating theta
         raise IntegrationError(
-            f"propagation failed near tau = {tau_start:.6g}: step doubling needs "
+            f"propagation failed near tau = {tau_start:.6g}: step ladder needs "
             f"more than {_MAX_STEPS} steps",
             tau=tau_start,
         )

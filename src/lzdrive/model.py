@@ -31,6 +31,7 @@ __all__ = [
     "field_vector",
     "hamiltonian",
     "eigenenergies",
+    "longitudinal_phase",
     "level_offset",
     "effective_coupling",
     "passage_phase",
@@ -166,6 +167,20 @@ def eigenenergies(tau: float, cfg: DriveConfig) -> tuple[float, float]:
     b = field_vector(tau, cfg)
     e = 0.5 * math.hypot(b.bx, b.bz)
     return (e, -e)
+
+
+def longitudinal_phase(tau, cfg: DriveConfig):
+    """Phase theta(tau) = tau^2/2 + eps0*tau + (A/omega) sin(omega*tau) that
+    b_z accumulates from tau = 0; vectorized over tau.  The tau^2/2 of the
+    sweep drops when v = 0, where tau is the raw clock.  By Jacobi-Anger,
+    e^{i theta} = sum_n J_n(A/omega) e^{i K_n}, with K_n the phase kernel of
+    the (n, 0) harmonic."""
+    c = cfg.reduced() if cfg.swept else cfg
+    ramp = 1.0 if cfg.swept else 0.0
+    theta = 0.5 * ramp * tau * tau + c.eps0 * tau
+    if c.amp_rf != 0.0:
+        theta = theta + c.amp_rf / c.freq_rf * np.sin(c.freq_rf * tau)
+    return theta
 
 
 def level_offset(idx: HarmonicIndex, cfg: DriveConfig) -> float:

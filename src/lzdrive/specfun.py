@@ -133,20 +133,18 @@ def fresnel(x):
     arr = np.atleast_1d(arr)
     if np.isnan(arr).any():
         raise DomainError("fresnel argument must not be NaN")
-    sign = np.sign(arr)
-    ax = np.abs(arr)
-    c = np.full_like(ax, 0.5)
-    s = np.full_like(ax, 0.5)
-    near = ax <= _FR_SCIPY_MAX
-    s[near], c[near] = special.fresnel(ax[near])
-    # from 1e12 on, +inf included, |C - 1/2| < 1/(pi x) < 3e-13: keep 1/2
-    far = ~near & (ax < 1e12)
-    v = ax[far]
-    ph = _phase_half_pi_x2(v)
-    c[far] += np.sin(ph) / (math.pi * v)
-    s[far] -= np.cos(ph) / (math.pi * v)
-    c *= sign
-    s *= sign
+    s, c = special.fresnel(arr)  # odd in x, as is the asymptotic term below
+    far = np.abs(arr) > _FR_SCIPY_MAX
+    if far.any():
+        x_far = arr[far]
+        v = np.abs(x_far)
+        c_far, s_far = np.full_like(v, 0.5), np.full_like(v, 0.5)
+        # from 1e12 on, +inf included, |C - 1/2| < 1/(pi x) < 3e-13: keep 1/2
+        mid = v < 1e12
+        ph, pv = _phase_half_pi_x2(v[mid]), math.pi * v[mid]
+        c_far[mid] += np.sin(ph) / pv
+        s_far[mid] -= np.cos(ph) / pv
+        c[far], s[far] = np.copysign(c_far, x_far), np.copysign(s_far, x_far)
     if scalar:
         return FresnelPair(float(c[0]), float(s[0]))
     return FresnelPair(c, s)
@@ -163,8 +161,8 @@ def scaled_fresnel(x):
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     cc, ss = fresnel(arr / _SQRT_PI)
-    cc = cc + 0.5
-    ss = ss + 0.5
+    cc += 0.5
+    ss += 0.5
     if scalar:
         return float(cc[0]), float(ss[0])
     return cc, ss

@@ -196,7 +196,7 @@ def bloch_perturbative_pairform(tau, cfg, trunc=None):
     Quadratic in the truncated grid size; meant for spot checks."""
     if trunc is None:
         trunc = default_truncation(cfg)
-    couplings, offsets, phases, _, _ = _harmonic_grid(cfg, trunc)
+    couplings, offsets, phases = _harmonic_grid(cfg, trunc)
     tau = np.asarray(tau, dtype=float)
     scalar = tau.ndim == 0
     t = np.atleast_1d(tau)

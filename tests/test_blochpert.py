@@ -152,16 +152,19 @@ def test_ac_as_single_term_limit():
 
 
 def test_ac_as_trig_expansion_identity():
+    # a_c + i a_s is e^{i theta}; at the default truncation the harmonic sums
+    # sum_n J_n e^{i K_n} and their pair form agree with it
     cfg = DriveConfig(**CASCADE)
-    trunc = TruncationSpec(40)
-    from lzdrive.blochpert import _harmonic_grid
-
-    _, _, _, n, j_signed = _harmonic_grid(cfg, trunc)
+    trunc = default_truncation(cfg)
     red = cfg.reduced()
+    n = np.arange(-trunc.n_max, trunc.n_max + 1)
+    j_signed = bessel_j(n, red.rf_ratio())
     for tau in (-7.0, 0.4, 11.0):
         a_c, a_s = ac_as(tau, cfg, trunc)
         off = red.eps0 + n * red.freq_rf
         kern = 0.5 * (tau + off) ** 2 - 0.5 * off**2
+        assert a_c == pytest.approx(np.sum(j_signed * np.cos(kern)), abs=1e-12)
+        assert a_s == pytest.approx(np.sum(j_signed * np.sin(kern)), abs=1e-12)
         pair = np.sum(
             j_signed[:, None] * j_signed[None, :]
             * np.cos(kern[:, None] - kern[None, :])
@@ -266,13 +269,12 @@ def test_harmonic_grid_is_the_stacked_scalar_calls():
             phase=rng.uniform(-7.0, 7.0),
         )
         trunc = default_truncation(cfg)
-        couplings, offsets, phases, n, _ = blochpert._harmonic_grid(cfg, trunc)
+        couplings, offsets, phases = blochpert._harmonic_grid(cfg, trunc)
         ks = range(-trunc.n_max, trunc.n_max + 1)
         for got, fn in ((couplings, effective_coupling), (offsets, level_offset),
                         (phases, passage_phase)):
             want = [fn(HarmonicIndex(k, alpha), cfg) for alpha in ALPHAS for k in ks]
             assert np.array_equal(got, want), fn.__name__
-        assert np.array_equal(n, list(ks))
 
 
 def _bessel_calls(monkeypatch, fn, *args):
@@ -283,18 +285,16 @@ def _bessel_calls(monkeypatch, fn, *args):
         calls.append(n)
         return bessel_j(n, x)
 
-    for mod in (model, blochpert):
-        monkeypatch.setattr(mod, "bessel_j", counted)
+    monkeypatch.setattr(model, "bessel_j", counted)
     fn(*args)
     return len(calls)
 
 
 def test_harmonic_table_evaluates_bessel_weights_once_per_use(monkeypatch):
-    # one broadcast call gives every coupling; the second call is the
-    # alpha = 0 weights of the rotation sums
+    # one broadcast call gives every coupling
     cfg = DriveConfig(**CASCADE)
     assert _bessel_calls(monkeypatch, blochpert._harmonic_grid, cfg,
-                         default_truncation(cfg)) == 2
+                         default_truncation(cfg)) == 1
     resonant = DriveConfig(delta=0.1, eps0=2.0, amp_rf=3.0, freq_rf=1.0, amp_mw=0.1,
                            freq_mw=2.0, phase=0.3)
     assert _bessel_calls(monkeypatch, analytic.strong_drive_delta, resonant) == 1

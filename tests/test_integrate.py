@@ -275,22 +275,73 @@ def test_step_doubling_shows_sixth_order():
 
 def test_error_estimate_bounds_the_actual_error():
     # resonance-sweep cells: two strong-drive cells and one cell of each
-    # weak-drive basis, against a tol-1e-13 solve of the same window
+    # weak-drive basis, sampled at the window's end, and criterion 5's dense
+    # staircase trace, against a tol-1e-13 solve of the same samples
     cells = (
-        DriveConfig(delta=0.1, amp_rf=50.0, freq_rf=100.0, amp_mw=0.08, freq_mw=200.0),
-        DriveConfig(delta=0.25, amp_rf=200.0, freq_rf=100.0, amp_mw=0.08, freq_mw=200.0),
-        DriveConfig(delta=0.07, eps0=1.5, amp_rf=1.0, freq_rf=50.0, amp_mw=0.08,
-                    freq_mw=1.0, phase=2.0),
-        DriveConfig(delta=0.0075, eps0=-0.8, amp_rf=29.0, freq_rf=100.0, amp_mw=0.08,
-                    freq_mw=1.0, phase=4.0),
+        (DriveConfig(delta=0.1, amp_rf=50.0, freq_rf=100.0, amp_mw=0.08, freq_mw=200.0),
+         100.0),
+        (DriveConfig(delta=0.25, amp_rf=200.0, freq_rf=100.0, amp_mw=0.08, freq_mw=200.0),
+         100.0),
+        (DriveConfig(delta=0.07, eps0=1.5, amp_rf=1.0, freq_rf=50.0, amp_mw=0.08,
+                     freq_mw=1.0, phase=2.0), 100.0),
+        (DriveConfig(delta=0.0075, eps0=-0.8, amp_rf=29.0, freq_rf=100.0, amp_mw=0.08,
+                     freq_mw=1.0, phase=4.0), 100.0),
+        (DriveConfig(delta=0.07, eps0=0.5, amp_rf=25.0, freq_rf=1.0, amp_mw=0.08,
+                     freq_mw=1.0), 0.1),
     )
     tol = 1e-10
-    for cfg in cells:
-        tr = propagate_tdse(cfg, tol=tol, sample_stride=100.0)
-        ref = propagate_tdse(cfg, tol=1e-13, sample_stride=100.0)
+    for cfg, stride in cells:
+        tr = propagate_tdse(cfg, tol=tol, sample_stride=stride)
+        ref = propagate_tdse(cfg, tol=1e-13, sample_stride=stride)
         err = float(np.max(np.abs(tr.data - ref.data)))
         assert err <= tol
         assert err <= 4.0 * tr.stats.error_estimate + 1e-13
+    # the staircase's passes are 2000, 4000 and 14 000 steps; step doubling
+    # went on through 8000 to 16 000
+    assert tr.stats.nfev <= 3 * 20_000
+
+
+def _ordered_matrix_product(a, b):
+    """U_{n-1} ... U_0 of the Cayley-Klein pairs as 2x2 matrices."""
+    out = np.eye(2, dtype=complex)
+    for ak, bk in zip(a, b):
+        out = np.array([[ak, bk], [-np.conj(bk), np.conj(ak)]]) @ out
+    return out
+
+
+def _random_pairs(rng, shape):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    r = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    return a / r, b / r
+
+
+def test_tree_product_of_any_length_is_the_ordered_product():
+    # an odd last step waits one level; a leading axis is carried along
+    rng = np.random.default_rng(22)
+    for n in (1, 3, 5, 6, 7):
+        a, b = _random_pairs(rng, (2, n))
+        got_a, got_b = integrate._tree_product(a, b)
+        for row in range(2):
+            want = _ordered_matrix_product(a[row], b[row])
+            assert abs(got_a[row] - want[0, 0]) <= 1e-15
+            assert abs(got_b[row] - want[0, 1]) <= 1e-15
+
+
+def test_running_product_matches_the_sequential_states():
+    # the log-depth scan reorders the products; over 1000 steps the states
+    # keep to 1e-13 of one multiplication after another
+    rng = np.random.default_rng(23)
+    a, b = _random_pairs(rng, 1000)
+    y0 = np.array([0.6, 0.8j])
+    states = [y0]
+    for ak, bk in zip(a, b):
+        u, d = states[-1]
+        states.append(np.array([ak * u + bk * d, np.conj(ak) * d - np.conj(bk) * u]))
+    got = integrate._running_product(a, b, y0)
+    assert got.shape == (2, 1001)
+    assert np.array_equal(got[:, 0], y0)
+    assert np.max(np.abs(got - np.array(states).T)) <= 1e-13
 
 
 def test_step_budget_exhaustion_raises_with_tau(monkeypatch):

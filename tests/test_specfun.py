@@ -17,8 +17,10 @@ closed forms and recurrence, Cayley-Klein unitarity) are defined once, in
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from lzdrive.errors import AccuracyError, DomainError
 from lzdrive.harness import SELFTEST_CHECKS
@@ -233,6 +235,26 @@ def test_fresnel_trivial_values():
         assert fresnel(-x) == (-0.5, -0.5)
     with pytest.raises(DomainError):
         fresnel(math.nan)
+
+
+def test_fresnel_is_scipy_inside_its_range_and_asymptotic_beyond():
+    x = np.concatenate([np.linspace(-1e4, 1e4, 20001), [-0.0, 1e-300, -1e-300]])
+    s_ref, c_ref = special.fresnel(x)
+    c, s = fresnel(x)
+    assert np.array_equal(c, c_ref) and np.array_equal(s, s_ref)
+    assert np.array_equal(np.signbit(c), np.signbit(c_ref))
+    # beyond 1e4, one asymptotic term with an exact phase: the term it drops
+    # is 1/(pi^2 x^3) < 1.1e-13
+    far = np.array([1e4 * (1.0 + 1e-12), 2.5e4, 3.3e7, 7.7e11])
+    c, s = fresnel(np.concatenate([far, -far]))
+    with mpmath.workdps(40):
+        for k, v in enumerate(far):
+            want_c, want_s = float(mpmath.fresnelc(v)), float(mpmath.fresnels(v))
+            for got, want in ((c[k], want_c), (s[k], want_s), (-c[k + far.size], want_c),
+                              (-s[k + far.size], want_s)):
+                assert abs(got - want) <= 1.2e-13
+    c, s = fresnel(np.array([1e12, math.inf, -math.inf, -1e300]))
+    assert list(c) == list(s) == [0.5, 0.5, -0.5, -0.5]
 
 
 def test_fresnel_reference_point():
