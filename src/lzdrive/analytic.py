@@ -34,7 +34,14 @@ from .model import (
     level_offset,
     passage_phase,
 )
-from .specfun import _WEBER_MAX_ABS_Z, _WEBER_MAX_ORDER, log_gamma, stokes_phase, weber_d
+from .specfun import (
+    _WEBER_MAX_ABS_Z,
+    _WEBER_MAX_ORDER,
+    _weber_mirror,
+    log_gamma,
+    stokes_phase,
+    weber_d,
+)
 
 __all__ = [
     "CayleyKlein",
@@ -54,6 +61,7 @@ __all__ = [
 _EIGHTH_TURN = cmath.exp(-0.25j * math.pi)  # e^{-i pi/4}
 _RES_TOL = 1e-6
 _DELTA_FLOOR = 1e-14
+_RAY_TOL = 1e-14  # |Im(z e^{i pi/4})| / |z| allowed as rounding
 
 
 @dataclass(frozen=True)
@@ -159,27 +167,47 @@ def caley_klein_asymptotic(delta: float) -> CayleyKlein:
     return CayleyKlein(complex(a), b)
 
 
+def _weber_on_diagonal(delta: float, u: complex, lg: complex):
+    """(D_nu(u), D_nu(-u), D_{nu-1}(u), D_{nu-1}(-u)) for nu = -i delta and u
+    on a diagonal: two ``weber_d`` calls at whichever of +-u has Re >= 0, and
+    the other two through the connection identity (``_weber_mirror``)."""
+    nu = -1j * delta
+    flip = u.real < 0.0
+    w = -u if flip else u
+    d0, d1 = weber_d(nu, w), weber_d(nu - 1.0, w)
+    m0, m1 = _weber_mirror(delta, w, d0, d1, lg)
+    return (m0, d0, m1, d1) if flip else (d0, m0, d1, m1)
+
+
 def caley_klein_finite(delta: float, z_start: complex, z_end: complex) -> CayleyKlein:
     """Crossing-frame propagator of one crossing over a finite window, as a
     Cayley-Klein pair of Weber-function products in the window's own gauge.
 
     z_start and z_end are the crossing-frame times rotated by e^{-i pi/4}
-    (z = (tau + offset) e^{-i pi/4}).  Pairs over adjacent windows compose,
-    and delta -> 0 or coincident arguments tend to the identity."""
+    (z = (tau + offset) e^{-i pi/4}); an argument off that ray by more than
+    rounding raises DomainError.  Pairs over adjacent windows compose, and
+    delta -> 0 or coincident arguments tend to the identity.
+
+    The pair needs D_nu(+-i z) at both ends and D_{nu-1}(+-i z) at the start,
+    nu = -i delta.  On the ray, +-i z lie on the diagonals, where the
+    connection identity gives the values at the left of the two from the
+    values at the right, so four right-half-plane ``weber_d`` calls (both
+    orders at both ends) and one log Gamma(1 + i delta) give them all."""
     if not math.isfinite(delta) or delta < 0.0:
         raise DomainError("delta must be finite and >= 0")
     z_start = complex(z_start)
     z_end = complex(z_end)
+    for z in (z_start, z_end):
+        if not abs((z * _EIGHTH_TURN.conjugate()).imag) <= _RAY_TOL * abs(z):
+            raise DomainError(
+                f"caley_klein_finite needs z on the ray tau e^{{-i pi/4}}, got z = {z}"
+            )
     if delta < _DELTA_FLOOR or z_start == z_end:
         return CayleyKlein(1.0 + 0.0j, 0.0 + 0.0j)
-    nu = -1j * delta
-    dp_f = weber_d(nu, -1j * z_end)
-    dm_f = weber_d(nu, 1j * z_end)
-    dp_i = weber_d(nu, 1j * z_start)
-    dm_i = weber_d(nu, -1j * z_start)
-    dp1_i = weber_d(nu - 1.0, 1j * z_start)
-    dm1_i = weber_d(nu - 1.0, -1j * z_start)
-    g = cmath.exp(log_gamma(1.0 + 1j * delta)) / math.sqrt(2.0 * math.pi)
+    lg = log_gamma(1.0 + 1j * delta)
+    dm_f, dp_f, _, _ = _weber_on_diagonal(delta, 1j * z_end, lg)
+    dp_i, dm_i, dp1_i, dm1_i = _weber_on_diagonal(delta, 1j * z_start, lg)
+    g = cmath.exp(lg) / math.sqrt(2.0 * math.pi)
     q_f, q_i = 0.25 * z_end * z_end, 0.25 * z_start * z_start
     a = g * cmath.exp(q_i - q_f) * (dp_f * dp1_i + dm_f * dm1_i)
     b = -g * _EIGHTH_TURN / math.sqrt(delta) * cmath.exp(-q_i - q_f) * (

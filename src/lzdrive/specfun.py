@@ -12,6 +12,10 @@ its large-|z| asymptotic expansion, one series that gives D and D', from
 elsewhere inside, one Taylor recurrence of its ODE, started from DLMF's
 origin values or from the expansion at radius 12.  One connection
 identity, with its coefficients in the exponent, covers the left half-plane.
+On the diagonals arg z = +-pi/4 with order nu = -i delta, the same identity
+gives D_nu(-w) and D_{nu-1}(-w) from D_nu(w) and D_{nu-1}(w) alone
+(``_weber_mirror``), so the finite-window Cayley-Klein pair needs four
+right-half-plane evaluations.
 
 All functions are deterministic and stateless; array broadcasting is
 supported where the callers need it (Bessel orders, Fresnel).
@@ -355,20 +359,19 @@ def _weber_right(nu: complex, z: complex, log_scale: complex = 0.0) -> complex:
     return w * cmath.exp(log_scale)
 
 
-def _weber(nu: complex, z: complex) -> complex:
-    if z.real >= 0.0:
-        return _weber_right(nu, z)
-    # reflect into the right half-plane with the connection identity
-    # D_nu(z) = c1 D_nu(-z) + c2 D_{-nu-1}(-s i z) of DLMF 12.2, s the sign of
-    # Im z so that both arguments land at |arg| <= pi/2; the coefficients
-    # enter as logarithms, so neither term overflows before the sum does, and
-    # c2 = 0 where nu is a non-negative integer
-    s = 1.0 if z.imag >= 0.0 else -1.0
-    t1 = _weber_right(nu, -z, s * 1j * math.pi * nu)
-    t2 = 0j
-    if not _is_nonpositive_integer(-nu):
-        log_c2 = _LOG_SQRT_2PI - log_gamma(-nu) + 0.5j * s * math.pi * (nu + 1.0)
-        t2 = _weber_right(-nu - 1.0, -s * 1j * z, log_c2)
+def _connection_logs(nu: complex, s: float, log_gamma_neg_nu: complex):
+    """(log c1, log c2) of the connection identity of DLMF 12.2 (12.2.15,
+    12.2.18), D_nu(z) = c1 D_nu(-z) + c2 D_{-nu-1}(-s i z) with s = +-1:
+    c1 = e^{s pi i nu}, c2 = sqrt(2 pi) e^{s pi i (nu + 1)/2} / Gamma(-nu).
+    Taking s the sign of Im z puts both arguments at |arg| <= pi/2 when
+    Re z < 0.  The coefficients stay logarithms, so a term they scale cannot
+    overflow before the sum does."""
+    log_c2 = _LOG_SQRT_2PI - log_gamma_neg_nu + 0.5j * s * math.pi * (nu + 1.0)
+    return s * 1j * math.pi * nu, log_c2
+
+
+def _connected(t1: complex, t2: complex, nu: complex, z: complex) -> complex:
+    """The sum t1 + t2 of the two connection terms for D_nu(z)."""
     out = t1 + t2
     # measured piece errors are correlated, so even strong cancellation keeps
     # the relative error ~1e-11; this only catches catastrophic loss
@@ -377,6 +380,48 @@ def _weber(nu: complex, z: complex) -> complex:
             f"weber_d reflection cancellation too severe at nu={nu}, z={z}"
         )
     return out
+
+
+def _weber(nu: complex, z: complex) -> complex:
+    if z.real >= 0.0:
+        return _weber_right(nu, z)
+    # reflect into the right half-plane; c2 = 0 where nu is a non-negative
+    # integer
+    s = 1.0 if z.imag >= 0.0 else -1.0
+    pole = _is_nonpositive_integer(-nu)
+    log_c1, log_c2 = _connection_logs(nu, s, 0j if pole else log_gamma(-nu))
+    t1 = _weber_right(nu, -z, log_c1)
+    t2 = 0j if pole else _weber_right(-nu - 1.0, -s * 1j * z, log_c2)
+    return _connected(t1, t2, nu, z)
+
+
+def _weber_mirror(delta: float, w: complex, d0: complex, d1: complex, lg: complex):
+    """(D_nu(-w), D_{nu-1}(-w)) for nu = -i delta, delta > 0, from
+    d0 = D_nu(w) and d1 = D_{nu-1}(w), with lg = log Gamma(1 + i delta).
+
+    w must lie on a diagonal w = r e^{+-i pi/4} with Re w >= 0.  There the
+    second argument of the connection identity at z = -w is -s i z = conj(w),
+    and since -nu - 1 = conj(nu - 1) and -(nu - 1) - 1 = conj(nu), its
+    second terms are conj(d1) and conj(d0): the two orders close on each
+    other and no further Weber evaluation is needed.  The gamma values are
+    1/Gamma(1 - nu) = e^{-lg} and 1/Gamma(-nu) = i delta e^{-lg}.
+    """
+    if w == 0:
+        # the identity holds here too, but its terms are up to e^{pi delta}
+        # times their sum; at the origin the mirrored values are the values
+        return d0, d1
+    nu = -1j * delta
+    s = 1.0 if -w.imag >= 0.0 else -1.0
+    out = []
+    for order, d, other, log_gamma_neg in (
+        (nu, d0, d1, lg - complex(math.log(delta), 0.5 * math.pi)),
+        (nu - 1.0, d1, d0, lg),
+    ):
+        log_c1, log_c2 = _connection_logs(order, s, log_gamma_neg)
+        t1 = cmath.exp(log_c1) * d
+        t2 = cmath.exp(log_c2) * other.conjugate()
+        out.append(_connected(t1, t2, order, -w))
+    return tuple(out)
 
 
 def weber_d(nu, z) -> complex:

@@ -7,7 +7,8 @@ Runge-Kutta pair (DOP853) in their rotating frame, the passage propagator
 multiplied out by hand and its |c|^2 as a four-path interference sum (both
 from the Cayley-Klein pairs, signed couplings and passage phases, without
 ``transfer_matrix``), the strong-drive exponent regrouped or specialized to
-zero static shift, and u_z through the pairwise F/G kernels.  The package
+zero static shift, u_z through the pairwise F/G kernels, and the finite-window
+Cayley-Klein pair from six direct Weber evaluations.  The package
 keeps one production path per quantity; these stay here so that path is
 checked against something other than itself.
 """
@@ -18,13 +19,15 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from lzdrive.analytic import _resonant_couplings, caley_klein_asymptotic
+from lzdrive.analytic import CayleyKlein, _resonant_couplings, caley_klein_asymptotic
 from lzdrive.blochpert import _harmonic_grid, default_truncation, fg_kernels
-from lzdrive.errors import IntegrationError, OffResonanceError
+from lzdrive.errors import DomainError, IntegrationError, OffResonanceError
 from lzdrive.model import ALPHAS, HarmonicIndex, effective_coupling, passage_phase
-from lzdrive.specfun import bessel_j
+from lzdrive.specfun import bessel_j, log_gamma, weber_d
 
 _RES_TOL = 1e-6
+_DELTA_FLOOR = 1e-14
+_EIGHTH_TURN = cmath.exp(-0.25j * math.pi)
 
 
 def _rotating_frame(cfg):
@@ -155,6 +158,33 @@ def weak_drive_four_path(cfg):
     p_up = abs(sum(m * cmath.exp(1j * p) for m, p in zip(amp, ph))) ** 2
     p_up = min(1.0, max(0.0, p_up))
     return p_up, 1.0 - p_up
+
+
+def caley_klein_finite_six_calls(delta, z_start, z_end):
+    """``caley_klein_finite`` with every Weber value a ``weber_d`` call of its
+    own: D_nu(+-i z) at both ends and D_{nu-1}(+-i z) at the start, so the
+    three values in the left half-plane each take ``weber_d``'s reflection,
+    and the gamma value g from a separate log Gamma(1 + i delta)."""
+    if not math.isfinite(delta) or delta < 0.0:
+        raise DomainError("delta must be finite and >= 0")
+    z_start = complex(z_start)
+    z_end = complex(z_end)
+    if delta < _DELTA_FLOOR or z_start == z_end:
+        return CayleyKlein(1.0 + 0.0j, 0.0 + 0.0j)
+    nu = -1j * delta
+    dp_f = weber_d(nu, -1j * z_end)
+    dm_f = weber_d(nu, 1j * z_end)
+    dp_i = weber_d(nu, 1j * z_start)
+    dm_i = weber_d(nu, -1j * z_start)
+    dp1_i = weber_d(nu - 1.0, 1j * z_start)
+    dm1_i = weber_d(nu - 1.0, -1j * z_start)
+    g = cmath.exp(log_gamma(1.0 + 1j * delta)) / math.sqrt(2.0 * math.pi)
+    q_f, q_i = 0.25 * z_end * z_end, 0.25 * z_start * z_start
+    a = g * cmath.exp(q_i - q_f) * (dp_f * dp1_i + dm_f * dm1_i)
+    b = -g * _EIGHTH_TURN / math.sqrt(delta) * cmath.exp(-q_i - q_f) * (
+        dp_f * dp_i - dm_f * dm_i
+    )
+    return CayleyKlein(a, b)
 
 
 def strong_drive_delta_regrouped(cfg):

@@ -172,6 +172,19 @@ def test_caley_klein_finite_identity_cases():
     assert ck.a == 1.0 and ck.b == 0.0
 
 
+def test_caley_klein_finite_refuses_off_the_ray():
+    # the connection identity that gives the mirrored Weber values holds on
+    # z = tau e^{-i pi/4} only
+    for z_start, z_end in ((-2.0 * ROT, 3.0), (2.0j * ROT, 5.0 * ROT),
+                           (-1.0 * ROT, (4.0 + 1e-12j) * ROT)):
+        with pytest.raises(DomainError):
+            caley_klein_finite(0.3, z_start, z_end)
+    # the box's ends, both ways round
+    for t0, t1 in ((-60.0, 60.0), (60.0, -60.0), (0.0, -60.0)):
+        ck = caley_klein_finite(0.3, t0 * ROT, t1 * ROT)
+        assert ck.unitarity_defect() <= 1e-8
+
+
 def framed_crossing_oracle(coupling, offset, t0, t1):
     """Direct integration of one crossing in the stationary-phase frame."""
 

@@ -27,6 +27,7 @@ from lzdrive.harness import SELFTEST_CHECKS
 from lzdrive.specfun import (
     _WEBER_SERIES_TOL,
     _weber_asym,
+    _weber_mirror,
     bessel_j,
     bessel_j_sequence,
     fresnel,
@@ -398,6 +399,32 @@ def test_weber_ring_against_mpmath():
             with mpmath.workdps(30):
                 ref = mpmath.pcfd(nu, z)
                 assert abs(mpmath.mpc(got) - ref) <= 2e-11 * abs(ref), (nu, z)
+
+
+def test_weber_mirror_matches_the_direct_reflection():
+    # on both diagonals w = r e^{+-i pi/4}, the values at -w from the
+    # connection identity closed on the orders nu = -i delta and nu - 1 match
+    # weber_d's own reflection at -w, and refuse where it refuses.  Both
+    # carry the identity's rounding: on these draws each misses mpmath by at
+    # most 1.4e-11, and they differ by at most 1.3e-11
+    rng = np.random.default_rng(RNG_SEED + 23)
+    for sign in (1.0, -1.0):
+        ray = cmath.exp(0.25j * sign * math.pi)
+        for _ in range(300):
+            delta = rng.uniform(1e-6, 3.0)
+            w = rng.uniform(0.0, 60.0) * ray
+            nu = -1j * delta
+            d0, d1 = weber_d(nu, w), weber_d(nu - 1.0, w)
+            lg = log_gamma(1.0 + 1j * delta)
+            try:
+                direct = (weber_d(nu, -w), weber_d(nu - 1.0, -w))
+            except AccuracyError:
+                with pytest.raises(AccuracyError):
+                    _weber_mirror(delta, w, d0, d1, lg)
+                continue
+            mirror = _weber_mirror(delta, w, d0, d1, lg)
+            for got, ref in zip(mirror, direct):
+                assert abs(got - ref) <= 1e-10 * abs(ref), (delta, w)
 
 
 def test_weber_domain_errors():

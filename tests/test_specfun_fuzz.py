@@ -11,6 +11,10 @@ and checks its bound against mpmath at 30 significant digits:
 - ``weber_d``: the validated box |z| <= 60, max(|Re nu|, |Im nu|) <= 3,
   relative error 1e-8 or a typed AccuracyError.
 
+``caley_klein_finite``, which takes its left-half-plane Weber values from
+the connection identity, is checked over the same box against the form that
+evaluates each of them with ``weber_d`` (``oracles.py``).
+
 The derandomized profile in ``conftest.py`` makes the draws identical on
 every run.
 """
@@ -28,7 +32,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lzdrive.errors import AccuracyError, DomainError
+from lzdrive.analytic import caley_klein_finite
 from lzdrive.specfun import bessel_j, fresnel, log_gamma, weber_d
+from oracles import caley_klein_finite_six_calls
 from test_specfun import weber_series_seam
 
 DPS = 30
@@ -147,3 +153,44 @@ def test_weber_relative_error_or_refusal(nu, z):
     with mpmath.workdps(DPS):
         ref = mpmath.pcfd(nu, z)
         assert abs(mpmath.mpc(got) - ref) <= 1e-8 * abs(ref), (nu, z, got, ref)
+
+
+_ROT = cmath.exp(-0.25j * math.pi)
+
+
+def _pair_or_refusal(form, delta, z_start, z_end):
+    try:
+        ck = form(delta, z_start, z_end)
+    except (AccuracyError, DomainError) as exc:
+        return type(exc)
+    return ck.a, ck.b
+
+
+@settings(max_examples=300)
+@given(
+    delta=st.floats(0.0, 3.0),
+    t_start=st.one_of(st.just(0.0), st.floats(-60.0, 60.0)),
+    t_end=st.floats(-60.0, 60.0),
+)
+# the start inverse_lz_case passes, coincident ends, the box's corners
+@example(delta=0.4, t_start=0.0, t_end=7.5)
+@example(delta=0.4, t_start=-7.5, t_end=0.0)
+@example(delta=1.2, t_start=-9.0, t_end=-9.0)
+@example(delta=3.0, t_start=-60.0, t_end=60.0)
+@example(delta=3.0, t_start=60.0, t_end=-60.0)
+@example(delta=2e-14, t_start=-60.0, t_end=60.0)
+def test_caley_klein_finite_matches_six_call_form(delta, t_start, t_end):
+    z_start = 0.0 if t_start == 0.0 else t_start * _ROT
+    z_end = t_end * _ROT
+    got = _pair_or_refusal(caley_klein_finite, delta, z_start, z_end)
+    ref = _pair_or_refusal(caley_klein_finite_six_calls, delta, z_start, z_end)
+    if isinstance(ref, type) or isinstance(got, type):
+        assert got is ref, (delta, t_start, t_end, got, ref)
+        return
+    assert abs(got[0] - ref[0]) <= 1e-11, (delta, t_start, t_end, got, ref)
+    # b divides a difference of O(1) Weber products by sqrt(delta), so the
+    # two forms' b differ by rounding of up to about 3e-16 / sqrt(delta)
+    # (measured for delta in [1e-14, 1e-2], |tau| <= 60), which dominates
+    # below delta ~ 1e-9
+    tol_b = 1e-11 + 1e-15 / math.sqrt(max(delta, 1e-14))
+    assert abs(got[1] - ref[1]) <= tol_b, (delta, t_start, t_end, got, ref)
