@@ -1,12 +1,12 @@
 """Perturbative Bloch-vector solutions for weak couplings.
 
-In the non-adiabatic regime every (n, alpha) harmonic of the double drive
-contributes one crossing whose accumulated response is a shifted Fresnel
-pair.  The kernels L and M combine those pairs with the passage phase; the
-transverse polarizations u_x, u_y additionally carry the longitudinal
-rotation through the a_c, a_s sums, which sum to cos and sin of the
-longitudinal phase, and the population difference u_z is a sum of squares
-of coupling-weighted kernels.
+To first order in the couplings, the frame that removes the longitudinal
+phase theta evolves under zeta(tau), the integral of b_x e^{-i theta} from
+-infinity to tau (the first Magnus term).  Each (n, alpha) harmonic of the
+double drive adds one crossing to it, a shifted Fresnel pair weighted by
+its coupling and passage phase.  Then u_x + i u_y = -i e^{i theta} zeta
+and u_z = 1 - |zeta|^2/2; the large-time limit takes zeta(+inf).  The L/M
+and F/G kernels and a_c, a_s are the paper's forms of the same algebra.
 
 All evaluators accept scalar or array times and vectorize over the harmonic
 grid, so full-window traces with n_max = 40 stay cheap.
@@ -136,9 +136,9 @@ def _harmonic_grid(cfg: DriveConfig, trunc: TruncationSpec):
 def ac_as(tau, cfg: DriveConfig, trunc: TruncationSpec):
     """Longitudinal rotation sums a_c = sum_n J_n cos(K_n), a_s with sin,
     over the alpha = 0 phase kernels; broadcasts over tau.  By Jacobi-Anger
-    the untruncated sums are cos theta and sin theta of the longitudinal
-    phase, which is what this returns; trunc is validated as for
-    ``bloch_perturbative``."""
+    the untruncated sums are cos theta and sin theta, the e^{i theta} that
+    ``bloch_perturbative`` reads; that is what this returns, and trunc is
+    validated as there."""
     trunc.validate_for(cfg)
     theta = longitudinal_phase(np.asarray(tau, dtype=float), cfg)
     if theta.ndim == 0:
@@ -146,39 +146,37 @@ def ac_as(tau, cfg: DriveConfig, trunc: TruncationSpec):
     return np.cos(theta), np.sin(theta)
 
 
-def bloch_perturbative(tau, cfg: DriveConfig, trunc: TruncationSpec | None = None):
-    """Perturbative Bloch vector (u_x, u_y, u_z) at tau (scalar or array).
+def _zeta(tau, cfg: DriveConfig, trunc: TruncationSpec):
+    """First-order Magnus generator zeta(tau) (tau may be +inf): the integral
+    of b_x e^{-i theta} from -infinity to tau as 2 sqrt(pi) sum_k J_k
+    e^{i Psi_k} (C_k - i S_k), (C_k, S_k) the shifted Fresnel pair at
+    tau + offset_k, summed over raveled times so every shape agrees."""
+    couplings, offsets, phases = _harmonic_grid(cfg, trunc)
+    cc, ss = scaled_fresnel(np.reshape(tau, (-1, 1)) + offsets)
+    w = _TWO_SQRT_PI * couplings * np.exp(1j * phases)
+    # (C - iS) w = C w + S (-iw), each weight vector as a real (re, im) pair
+    parts = cc @ np.column_stack([w.real, w.imag]) + ss @ np.column_stack([w.imag, -w.real])
+    return (parts[:, 0] + 1j * parts[:, 1]).reshape(np.shape(tau))
 
-    Valid deep in the non-adiabatic regime (squared couplings << 1); the
-    overshoot of u_z below -1 that the expansion can produce is reported
-    as-is, not clamped."""
+
+def bloch_perturbative(tau, cfg: DriveConfig, trunc: TruncationSpec | None = None):
+    """Perturbative Bloch vector (u_x, u_y, u_z), of shape tau.shape + (3,):
+    u_x + i u_y = -i e^{i theta} zeta and u_z = 1 - |zeta|^2/2.
+
+    Valid deep in the non-adiabatic regime (|zeta| << 1); the overshoot of
+    u_z below -1 that the expansion can produce is reported as-is, not
+    clamped."""
     if trunc is None:
         trunc = default_truncation(cfg)
-    couplings, offsets, phases = _harmonic_grid(cfg, trunc)
     tau = np.asarray(tau, dtype=float)
-    scalar = tau.ndim == 0
-    t = np.atleast_1d(tau)
-
-    lk, mk = lm_kernel(t[:, None] + offsets, phases)
-    sum_l = np.sum(couplings[None, :] * lk, axis=1)
-    sum_m = np.sum(couplings[None, :] * mk, axis=1)
-    a_c, a_s = ac_as(t, cfg, trunc)
-
-    out = np.empty(t.shape + (3,))
-    out[:, 0] = _TWO_SQRT_PI * (a_c * sum_l + a_s * sum_m)
-    out[:, 1] = _TWO_SQRT_PI * (a_s * sum_l - a_c * sum_m)
-    out[:, 2] = 1.0 - 2.0 * math.pi * (sum_l**2 + sum_m**2)
-    if scalar:
-        return out[0]
-    return out
+    zeta = _zeta(tau, cfg, trunc)
+    u_perp = -1j * np.exp(1j * longitudinal_phase(tau, cfg)) * zeta
+    return np.stack([u_perp.real, u_perp.imag, 1.0 - 0.5 * np.abs(zeta) ** 2], axis=-1)
 
 
 def bloch_asymptotic_uz(cfg: DriveConfig, trunc: TruncationSpec | None = None) -> float:
-    """Large-time limit of u_z: 1 - 4*pi sum over harmonic pairs of
-    J J' cos(Psi - Psi'), evaluated through its sum-of-squares form."""
+    """Large-time limit 1 - |zeta(+inf)|^2/2 of u_z, where every Fresnel pair
+    is (1, 1): 1 - 4*pi sum over harmonic pairs of J J' cos(Psi - Psi')."""
     if trunc is None:
         trunc = default_truncation(cfg)
-    couplings, _, phases = _harmonic_grid(cfg, trunc)
-    re = float(np.sum(couplings * np.cos(phases)))
-    im = float(np.sum(couplings * np.sin(phases)))
-    return 1.0 - 4.0 * math.pi * (re * re + im * im)
+    return 1.0 - 0.5 * abs(complex(_zeta(math.inf, cfg, trunc))) ** 2

@@ -190,6 +190,22 @@ def test_uz_two_evaluations_agree():
     direct = bloch_perturbative(taus, cfg, TruncationSpec(40))[:, 2]
     paired = bloch_perturbative_pairform(taus, cfg, TruncationSpec(40))
     np.testing.assert_allclose(direct, paired, atol=1e-10)
+    # the +inf end: every Fresnel pair is (1, 1), and F+ = 1, G- = 0
+    final = bloch_asymptotic_uz(cfg, TruncationSpec(40))
+    assert final == pytest.approx(
+        bloch_perturbative_pairform(INF, cfg, TruncationSpec(40)), abs=1e-10)
+    late = bloch_perturbative(1e8, cfg, TruncationSpec(40))[2]
+    assert late == pytest.approx(final, abs=1e-7)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3), (3, 1), (1, 243)])
+def test_bloch_perturbative_keeps_the_shape_of_tau(shape):
+    cfg = DriveConfig(**CASCADE, phase=0.7)
+    taus = np.linspace(-30.0, 30.0, max(1, math.prod(shape))).reshape(shape)
+    u = bloch_perturbative(taus, cfg, TruncationSpec(40))
+    flat = bloch_perturbative(taus.ravel(), cfg, TruncationSpec(40))
+    assert u.shape == shape + (3,)
+    np.testing.assert_array_equal(u, flat.reshape(shape + (3,)))
 
 
 def test_truncation_convergence():
