@@ -8,6 +8,9 @@ Layers:
   ``scipy.special``; Stokes phase and the Weber parabolic cylinder function).
 - ``model``: drive parameters, field vector, Hamiltonian, harmonic
   bookkeeping.
+- ``su2``: the SU(2) pair type ``CayleyKlein`` that ``integrate`` and
+  ``analytic`` share: compose with ``@``, the exponential of an su(2)
+  vector, the ordered tree product and the prefix scan.
 - ``integrate``: sixth-order Magnus propagation (three Gauss points per
   step) of the Schrodinger equation in the frame of the exact longitudinal
   phase, with a Richardson error estimate held to the requested

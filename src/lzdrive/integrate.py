@@ -15,12 +15,13 @@ A step of length h evaluates g_1, g_2, g_3 at t + h (1/2 - sqrt(15)/10,
     c = a1 + a3/12 + [-20 a1 - a3 + [a1, a2], a2 - [a1, 2 a3 + [a1, a2]]/60] / 240,
 
 the su(2) reduction of Omega^[6] in which every commutator is a cross
-product.  The step is the closed-form SU(2) rotation exp(-i c.sigma/2), so
-propagation is unitary by construction, and a vanishing transverse field
-gives exactly the identity.  Steps are evaluated in numpy blocks of 2^12,
-small enough for each temporary to stay in the L2 cache; the steps inside
-one sample interval are multiplied with a pairwise tree, and the prefix
-products of a log-depth scan carry the state across the samples.  Sampled
+product.  The step is the Cayley-Klein pair of exp(-i c.sigma/2) from the
+shared exponential ``su2.exp``, so propagation is unitary by construction,
+and a vanishing transverse field gives exactly the identity.  Steps are
+evaluated in numpy blocks of 2^12, small enough for each temporary to stay
+in the L2 cache.  Pairs compose with ``@``: the steps inside one sample
+interval are multiplied with ``su2.tree_product``, and the running
+products of ``su2.prefix_scan`` carry the state across the samples.  Sampled
 states are mapped back to the diabatic basis, so trajectories are reported
 in the lab frame.
 
@@ -56,8 +57,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import su2
 from .errors import DomainError, IntegrationError
 from .model import DriveConfig, longitudinal_phase
+from .su2 import CayleyKlein
 
 __all__ = [
     "SolveStats",
@@ -164,9 +167,9 @@ def _validate_window(tau_start, tau_end, tol, stride):
         raise DomainError("sample_stride must be positive and finite")
 
 
-def _step_pairs(frame: _Frame, t, h):
-    """Cayley-Klein pairs (a, b) of the Magnus-6 steps [t, t + h]; the step
-    is [[a, b], [-conj(b), conj(a)]] = exp(-i c.sigma/2)."""
+def _step_pairs(frame: _Frame, t, h) -> CayleyKlein:
+    """Cayley-Klein pairs of the Magnus-6 steps [t, t + h], each the shared
+    exponential exp(-i c.sigma/2)."""
     tn = t + _NODES * h
     g1, g2, g3 = frame.bx(tn) * np.exp(-1j * frame.theta(tn))  # g_x + i g_y
     a1 = h * g2
@@ -179,58 +182,30 @@ def _step_pairs(frame: _Frame, t, h):
     q = a2 + (1j / 60.0) * c1 * a1  # a2 - [a1, 2 a3 + [a1, a2]] / 60 = q + m z
     zeta = a1 + a3 / 12.0 + (1j / 240.0) * (c1 * q - m * p)  # c_x + i c_y
     cz = (p.conj() * q).imag / 240.0
-    norm = np.sqrt(zeta.real**2 + zeta.imag**2 + cz * cz)
-    s = 0.5 * np.sinc(norm / (2.0 * math.pi))  # sin(|c|/2) / |c|
-    return np.cos(0.5 * norm) - 1j * (s * cz), -1j * s * zeta.conj()
+    return su2.exp(zeta, cz)
 
 
-def _compose(a2, b2, a1, b1):
-    """Cayley-Klein pair of the product U2 U1."""
-    return a2 * a1 - b2 * b1.conj(), a2 * b1 + b2 * a1.conj()
-
-
-def _tree_product(a, b):
-    """Ordered product along the last axis (later steps on the left) by
-    pairwise reduction; at an odd length the last step waits one level."""
-    while a.shape[-1] > 1:
-        pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:-1:2], b[..., 0:-1:2])
-        if a.shape[-1] % 2:
-            pa = np.concatenate((pa, a[..., -1:]), axis=-1)
-            pb = np.concatenate((pb, b[..., -1:]), axis=-1)
-        a, b = pa, pb
-    return a[..., 0], b[..., 0]
-
-
-def _interval_pairs(frame: _Frame, edges: np.ndarray, m: int):
+def _interval_pairs(frame: _Frame, edges: np.ndarray, m: int) -> CayleyKlein:
     """Cayley-Klein pairs of the propagator across each sample interval,
     each split into m equal Magnus steps."""
     starts, h = edges[:-1], np.diff(edges) / m
     per = max(1, _BLOCK // m)  # whole intervals in one block
     parts = -(-m // _BLOCK)  # blocks in one interval
     cuts = [p * m // parts for p in range(parts + 1)]
-    out_a, out_b = [], []
+    out = []
     for i in range(0, h.size, per):
         lo, hk = starts[i:i + per, None], h[i:i + per, None]
-        a, b = np.ones(lo.shape[0], complex), np.zeros(lo.shape[0], complex)
+        u = CayleyKlein(np.ones(lo.shape[0], complex), np.zeros(lo.shape[0], complex))
         for j0, j1 in zip(cuts, cuts[1:]):
-            pa, pb = _tree_product(*_step_pairs(frame, lo + hk * np.arange(j0, j1), hk))
-            a, b = _compose(pa, pb, a, b)
-        out_a.append(a)
-        out_b.append(b)
-    return np.concatenate(out_a), np.concatenate(out_b)
+            u = su2.tree_product(_step_pairs(frame, lo + hk * np.arange(j0, j1), hk)) @ u
+        out.append(u)
+    return CayleyKlein(*(np.concatenate(part) for part in zip(*out)))
 
 
-def _running_product(a, b, y0) -> np.ndarray:
-    """(2, len(a) + 1) states y_{k+1} = U_k y_k from y_0 = y0, from the
+def _running_product(steps: CayleyKlein, y0) -> np.ndarray:
+    """(2, len(steps.a) + 1) states y_{k+1} = U_k y_k from y_0 = y0, from the
     prefix products U_k ... U_0 of a log-depth scan."""
-    a, b = a.copy(), b.copy()
-    s = 1
-    while s < a.size:
-        a[s:], b[s:] = _compose(a[s:], b[s:], a[:-s], b[:-s])
-        s *= 2
-    u, d = y0
-    return np.stack([np.concatenate(([u], a * u + b * d)),
-                     np.concatenate(([d], a.conj() * d - b.conj() * u))])
+    return np.concatenate((np.reshape(y0, (2, 1)), su2.prefix_scan(steps).apply(*y0)), axis=1)
 
 
 class MagnusResult(NamedTuple):
@@ -262,7 +237,7 @@ def solve_ivp(frame: _Frame, taus, y0, tol: float) -> MagnusResult:
     m = 1 << max(0, math.ceil(math.log2(max(1.0, 0.25 * longest * frame.rate))))
     nfev, prev, err, m_next = 0, None, None, 2 * m
     while m * n_int <= _MAX_STEPS:
-        y = _running_product(*_interval_pairs(frame, edges, m), y0)
+        y = _running_product(_interval_pairs(frame, edges, m), y0)
         nfev += 3 * m * n_int
         if prev is not None:
             err = np.max(np.abs(y - prev), axis=0) / ((m / m_prev) ** 6 - 1.0)

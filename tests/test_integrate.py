@@ -9,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import lzdrive.integrate as integrate
+import lzdrive.su2 as su2
 from lzdrive.analytic import caley_klein_finite
 from lzdrive.errors import DomainError, IntegrationError
 from lzdrive.integrate import (
@@ -21,6 +23,7 @@ from lzdrive.integrate import (
     spinor_to_bloch,
 )
 from lzdrive.model import DriveConfig
+from lzdrive.su2 import CayleyKlein
 from oracles import evolve_bloch, evolve_tdse
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -321,7 +324,7 @@ def test_tree_product_of_any_length_is_the_ordered_product():
     rng = np.random.default_rng(22)
     for n in (1, 3, 5, 6, 7):
         a, b = _random_pairs(rng, (2, n))
-        got_a, got_b = integrate._tree_product(a, b)
+        got_a, got_b = su2.tree_product(CayleyKlein(a, b))
         for row in range(2):
             want = _ordered_matrix_product(a[row], b[row])
             assert abs(got_a[row] - want[0, 0]) <= 1e-15
@@ -338,10 +341,37 @@ def test_running_product_matches_the_sequential_states():
     for ak, bk in zip(a, b):
         u, d = states[-1]
         states.append(np.array([ak * u + bk * d, np.conj(ak) * d - np.conj(bk) * u]))
-    got = integrate._running_product(a, b, y0)
-    assert got.shape == (2, 1001)
-    assert np.array_equal(got[:, 0], y0)
-    assert np.max(np.abs(got - np.array(states).T)) <= 1e-13
+    got = np.array(su2.prefix_scan(CayleyKlein(a, b)).apply(*y0))
+    assert got.shape == (2, 1000)
+    assert np.max(np.abs(got - np.array(states[1:]).T)) <= 1e-13
+
+
+def test_pair_exponential_and_product_match_the_matrices():
+    # exp(-i c.sigma/2) against expm: zero, in-plane (a tail U(zeta)),
+    # generic, and |c| at and near 2 pi, where sin(|c|/2)/|c| passes zero
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    rng = np.random.default_rng(26)
+    cs = [np.zeros(3), np.array([0.3, -1.2, 0.0]), rng.normal(size=3)]
+    for norm in (2.0 * math.pi, 2.0 * math.pi * (1.0 - 1e-9), 2.0 * math.pi + 1e-3):
+        c = rng.normal(size=3)
+        cs.append(norm * c / np.linalg.norm(c))
+    for c in cs:
+        ck = su2.exp(complex(c[0], c[1]), c[2])
+        want = expm(-0.5j * np.einsum("k,kij->ij", c, sigma))
+        assert np.max(np.abs(ck.matrix() - want)) <= 1e-14
+    assert su2.exp(0j, 0.0) == (1.0, 0.0)
+    # @ is the 2x2 product, on scalars and on arrays that broadcast
+    u, v = CayleyKlein(*_random_pairs(rng, (3, 1))), CayleyKlein(*_random_pairs(rng, 4))
+    uv = u @ v
+    assert np.shape(uv.a) == np.shape(uv.b) == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            left = CayleyKlein(complex(u.a[i, 0]), complex(u.b[i, 0]))
+            right = CayleyKlein(complex(v.a[j]), complex(v.b[j]))
+            want = left.matrix() @ right.matrix()
+            assert np.max(np.abs((left @ right).matrix() - want)) <= 1e-15
+            assert abs(uv.a[i, j] - want[0, 0]) <= 1e-15
+            assert abs(uv.b[i, j] - want[0, 1]) <= 1e-15
 
 
 def test_step_budget_exhaustion_raises_with_tau(monkeypatch):
