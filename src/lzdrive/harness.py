@@ -6,6 +6,11 @@ its axes: one flat list of cells in row-major order, evaluated one after
 another in this process, so the bytes do not depend on the worker count.
 Comparison runs pit a closed-form method against direct numerical
 propagation and emit a JSON report with per-point deviations.
+
+Two tables hold the per-command work: ``_OBSERVABLES`` maps each sweep
+observable to its value on one cell, ``_METHODS`` each compare method to a
+row whose (where, analytic, numeric) ``run_compare`` turns into the report.
+Their keys are ``OBSERVABLES`` and ``COMPARE_METHODS``.
 """
 
 from __future__ import annotations
@@ -52,9 +57,6 @@ __all__ = [
 
 _CFG_KEYS = tuple(f.name for f in fields(DriveConfig))
 _FLOAT_FMT = ".17g"
-
-COMPARE_METHODS = ("strong_drive", "weak_drive", "bloch_pert", "rabi", "inverse_lz")
-OBSERVABLES = ("p_up_final", "p_dn_final", "uz_final", "delta_param")
 
 
 def _coerce_number(key: str, raw) -> float:
@@ -296,16 +298,17 @@ def _csv(header, rows) -> str:
     return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
+def _window(spec: RunSpec, stride: float | None = None) -> dict:
+    """The spec's window and tol as propagator keywords; the sample stride
+    is the spec's unless given."""
+    stride = spec.stride if stride is None else stride
+    return dict(tau_start=spec.tau_start, tau_end=spec.tau_end, tol=spec.tol, sample_stride=stride)
+
+
 def run_trace(spec: RunSpec) -> str:
     """Propagate the config and render the trajectory as CSV text
     (tau, p_up, p_dn, ux, uy, uz); deterministic bytes for fixed inputs."""
-    tr = propagate_tdse(
-        spec.cfg,
-        tau_start=spec.tau_start,
-        tau_end=spec.tau_end,
-        tol=spec.tol,
-        sample_stride=spec.stride,
-    )
+    tr = propagate_tdse(spec.cfg, **_window(spec))
     cols = np.column_stack([tr.taus, tr.populations(), spinor_to_bloch(tr.data)])
     return _csv("tau,p_up,p_dn,ux,uy,uz", (map(_fmt, row) for row in cols.tolist()))
 
@@ -317,24 +320,24 @@ def run_trace(spec: RunSpec) -> str:
 
 def _final_populations(cfg: DriveConfig, spec: RunSpec) -> tuple[float, float]:
     """(p_up, p_dn) at the end of the spec's window, sampled only there."""
-    tr = propagate_tdse(
-        cfg,
-        tau_start=spec.tau_start,
-        tau_end=spec.tau_end,
-        tol=spec.tol,
-        sample_stride=spec.tau_end - spec.tau_start,
-    )
+    tr = propagate_tdse(cfg, **_window(spec, spec.tau_end - spec.tau_start))
     return tr.final_populations()
+
+
+# observable -> value(cfg, spec) of one grid cell
+_OBSERVABLES = {
+    "p_up_final": lambda cfg, spec: _final_populations(cfg, spec)[0],
+    "p_dn_final": lambda cfg, spec: _final_populations(cfg, spec)[1],
+    "uz_final": lambda cfg, spec: np.subtract(*_final_populations(cfg, spec)),
+    "delta_param": lambda cfg, spec: strong_drive_delta(cfg),
+}
+OBSERVABLES = tuple(_OBSERVABLES)
 
 
 def _sweep_cell(spec: RunSpec, observable: str, changes: dict) -> str:
     """One grid cell; returns the formatted observable or an error marker."""
     try:
-        cfg = replace(spec.cfg, **changes)
-        if observable == "delta_param":
-            return _fmt(strong_drive_delta(cfg))
-        p_up, p_dn = _final_populations(cfg, spec)
-        return _fmt({"p_up_final": p_up, "p_dn_final": p_dn, "uz_final": p_up - p_dn}[observable])
+        return _fmt(_OBSERVABLES[observable](replace(spec.cfg, **changes), spec))
     except (ValueError, ArithmeticError, IntegrationError) as exc:
         # numeric and domain failures of one cell must not abort the grid
         return f"error({type(exc).__name__})"
@@ -356,34 +359,34 @@ def run_sweep(spec: RunSpec, sweep: SweepSpec, workers: int = 1) -> str:
 # Compare
 # ---------------------------------------------------------------------------
 
+# Each row below checks its closed form's precondition before it propagates
+# and returns (where, analytic, numeric): one label per compared value and
+# two sequences of those values in the same order.
 
-def _final_population_samples(spec, analytic_pair):
-    p_up, p_dn = _final_populations(spec.cfg, spec)
-    a_up, a_dn = analytic_pair
-    return [
-        {"where": "p_up_final", "analytic": a_up, "numeric": p_up},
-        {"where": "p_dn_final", "analytic": a_dn, "numeric": p_dn},
-    ]
+_FINAL = ("p_up_final", "p_dn_final")
 
 
-def _bloch_pert_samples(spec):
-    tr = propagate_bloch(
-        spec.cfg,
-        tau_start=spec.tau_start,
-        tau_end=spec.tau_end,
-        tol=spec.tol,
-        sample_stride=spec.stride,
-    )
-    pert = bloch_perturbative(tr.taus, spec.cfg, spec.truncation())
-    out = []
-    for tau, analytic, numeric in zip(tr.taus.tolist(), pert.tolist(), tr.data.tolist()):
-        at = _fmt(tau)
-        for comp, a, n in zip(("ux", "uy", "uz"), analytic, numeric):
-            out.append({"where": f"{comp}@tau={at}", "analytic": a, "numeric": n})
-    return out
+def _strong_drive(spec):
+    red = spec.cfg.reduced()
+    if abs(red.eps0) > 0.5 * red.freq_rf:
+        warnings.warn(
+            "static shift exceeds half the longitudinal drive frequency; "
+            "the resonant closed form degrades there",
+            stacklevel=3,  # run_compare's caller
+        )
+    s = strong_drive_survival(spec.cfg)
+    return _FINAL, (s, 1.0 - s), _final_populations(spec.cfg, spec)
 
 
-def _zero_sweep_samples(spec, formula, periods, n_pts):
+def _bloch_pert(spec):
+    trunc = spec.truncation()
+    trunc.validate_for(spec.cfg)
+    tr = propagate_bloch(spec.cfg, **_window(spec))
+    where = [f"{c}@tau={t}" for t in map(_fmt, tr.taus.tolist()) for c in ("ux", "uy", "uz")]
+    return where, bloch_perturbative(tr.taus, spec.cfg, trunc), tr.data
+
+
+def _zero_sweep(spec, formula, periods, n_pts):
     """Formula vs numerics at n_pts samples spread evenly over the given
     number of longitudinal drive periods after t = 0.
 
@@ -394,54 +397,51 @@ def _zero_sweep_samples(spec, formula, periods, n_pts):
     tr = propagate_tdse(
         spec.cfg, tau_start=0.0, tau_end=t_max, tol=spec.tol, sample_stride=t_max / n_pts
     )
-    out = []
-    for t, p_num in zip(tr.taus[1:], tr.populations()[1:]):
-        p_up, p_dn = formula(spec.cfg, float(t))
-        out.append({"where": f"p_up@t={_fmt(t)}", "analytic": p_up, "numeric": float(p_num[0])})
-        out.append({"where": f"p_dn@t={_fmt(t)}", "analytic": p_dn, "numeric": float(p_num[1])})
-    return out
+    ts = tr.taus[1:].tolist()
+    where = [f"{p}@t={t}" for t in map(_fmt, ts) for p in ("p_up", "p_dn")]
+    return where, [formula(spec.cfg, t) for t in ts], tr.populations()[1:]
+
+
+# method -> row(spec).  Rows reach the closed forms and propagators through
+# this module's names at call time, so a patched binding (tests, the traced
+# benchmark) is the one that runs.
+_METHODS = {
+    "strong_drive": _strong_drive,
+    "weak_drive": lambda spec: (
+        _FINAL, weak_drive_probabilities(spec.cfg), _final_populations(spec.cfg, spec)
+    ),
+    "bloch_pert": _bloch_pert,
+    "rabi": lambda spec: _zero_sweep(spec, rabi_case, 2, 80),
+    "inverse_lz": lambda spec: _zero_sweep(spec, inverse_lz_case, 1, 32),
+}
+COMPARE_METHODS = tuple(_METHODS)
 
 
 def run_compare(spec: RunSpec, method: str, threshold: float) -> CompareReport:
     """Compare one closed-form method against direct numerics.
 
     The numeric side is always a fresh propagation; method preconditions
-    (resonance, v = 0 cases) surface as their original exceptions."""
-    if method not in COMPARE_METHODS:
+    (resonance, v = 0 cases) surface as their original exceptions, before
+    anything propagates."""
+    if method not in _METHODS:
         raise ConfigError(f"unknown compare method '{method}'", key="method")
     if not (threshold > 0.0):
         raise ConfigError("threshold must be positive", key="threshold")
-    if method == "strong_drive":
-        red = spec.cfg.reduced()
-        if abs(red.eps0) > 0.5 * red.freq_rf:
-            warnings.warn(
-                "static shift exceeds half the longitudinal drive frequency; "
-                "the resonant closed form degrades there",
-                stacklevel=2,
-            )
-        s = strong_drive_survival(spec.cfg)
-        samples = _final_population_samples(spec, (s, 1.0 - s))
-    elif method == "weak_drive":
-        samples = _final_population_samples(spec, weak_drive_probabilities(spec.cfg))
-    elif method == "bloch_pert":
-        samples = _bloch_pert_samples(spec)
-    elif method == "rabi":
-        samples = _zero_sweep_samples(spec, rabi_case, 2, 80)
-    else:
-        samples = _zero_sweep_samples(spec, inverse_lz_case, 1, 32)
-    devs = []
-    for s in samples:
-        s["abs_dev"] = abs(s["analytic"] - s["numeric"])
-        devs.append(s["abs_dev"])
-    devs = np.asarray(devs)
+    where, analytic, numeric = _METHODS[method](spec)
+    analytic = np.asarray(analytic, dtype=float).ravel()
+    numeric = np.asarray(numeric, dtype=float).ravel()
+    devs = np.abs(analytic - numeric)
+    samples = [
+        {"where": w, "analytic": a, "numeric": n, "abs_dev": d}
+        for w, a, n, d in zip(where, analytic.tolist(), numeric.tolist(), devs.tolist())
+    ]
     max_abs = float(np.max(devs))
-    rms = float(np.sqrt(np.mean(devs**2)))
     return CompareReport(
         method=method,
         threshold=float(threshold),
         samples=samples,
         max_abs_dev=max_abs,
-        rms_dev=rms,
+        rms_dev=float(np.sqrt(np.mean(devs**2))),
         passed=bool(max_abs <= threshold),
     )
 

@@ -128,8 +128,7 @@ class _Frame(NamedTuple):
 def _make_frame(cfg: DriveConfig, t_max: float) -> _Frame:
     """The frame in the working time unit (sweep units, or the raw clock
     when v = 0) for windows inside [-t_max, t_max]."""
-    c = cfg.reduced() if cfg.swept else cfg
-    ramp = 1.0 if cfg.swept else 0.0
+    c = cfg.working()
     delta, eps0, a, w = c.delta, c.eps0, c.amp_rf, c.freq_rf
     af, wf, phi = c.amp_mw, c.freq_mw, c.phase
 
@@ -141,8 +140,7 @@ def _make_frame(cfg: DriveConfig, t_max: float) -> _Frame:
             return delta
         return delta + af * np.cos(wf * t + phi)
 
-    rate = (abs(ramp) * t_max + abs(eps0) + abs(a) + abs(w) + abs(wf)
-            + abs(delta) + abs(af))
+    rate = c.v * t_max + abs(eps0) + abs(a) + abs(w) + abs(wf) + abs(delta) + abs(af)
     return _Frame(theta, bx, rate)
 
 

@@ -105,6 +105,11 @@ class DriveConfig:
             phase=self.phase,
         )
 
+    def working(self) -> "DriveConfig":
+        """The drive in the working time unit: sweep units (v = 1) when
+        swept, the raw clock (v = 0) otherwise, so that v is the ramp."""
+        return self.reduced() if self.swept else self
+
     def rf_ratio(self) -> float:
         """Drive ratio A/omega (argument of every Bessel factor)."""
         if self.amp_rf == 0.0:
@@ -147,10 +152,9 @@ def field_vector(tau: float, cfg: DriveConfig) -> FieldVector:
     bx carries the static gap plus the transverse drive, bz the linear sweep
     plus static shift plus longitudinal drive; by is identically zero.
     """
-    c = cfg.reduced() if cfg.swept else cfg
-    ramp = tau if cfg.swept else 0.0
+    c = cfg.working()
     bx = c.delta + c.amp_mw * math.cos(c.freq_mw * tau + c.phase)
-    bz = ramp + c.eps0 + c.amp_rf * math.cos(c.freq_rf * tau)
+    bz = c.v * tau + c.eps0 + c.amp_rf * math.cos(c.freq_rf * tau)
     return FieldVector(bx, 0.0, bz)
 
 
@@ -175,9 +179,8 @@ def longitudinal_phase(tau, cfg: DriveConfig):
     sweep drops when v = 0, where tau is the raw clock.  By Jacobi-Anger,
     e^{i theta} = sum_n J_n(A/omega) e^{i K_n}, with K_n the phase kernel of
     the (n, 0) harmonic."""
-    c = cfg.reduced() if cfg.swept else cfg
-    ramp = 1.0 if cfg.swept else 0.0
-    theta = 0.5 * ramp * tau * tau + c.eps0 * tau
+    c = cfg.working()
+    theta = 0.5 * c.v * tau * tau + c.eps0 * tau
     if c.amp_rf != 0.0:
         theta = theta + c.amp_rf / c.freq_rf * np.sin(c.freq_rf * tau)
     return theta

@@ -161,14 +161,9 @@ def scaled_fresnel(x):
     sqrt(pi) * first = integral of cos(s^2/2) from -infinity to x.
     Accepts +-inf sentinels.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    cc, ss = fresnel(arr / _SQRT_PI)
+    cc, ss = fresnel(np.asarray(x, float) / _SQRT_PI)
     cc += 0.5
     ss += 0.5
-    if scalar:
-        return float(cc[0]), float(ss[0])
     return cc, ss
 
 

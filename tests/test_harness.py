@@ -11,10 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lzdrive.harness as harness
 import lzdrive.integrate as integrate
+from lzdrive.cli import build_parser
 from lzdrive.cli import main as cli_main
 from lzdrive.errors import ConfigError
 from lzdrive.harness import (
+    COMPARE_METHODS,
+    OBSERVABLES,
     SELFTEST_CHECKS,
     RunSpec,
     SweepSpec,
@@ -370,9 +374,78 @@ def test_run_compare_large_shift_warns_but_runs():
         "delta = 0.05\neps0 = 1\nfreq_rf = 1\nfreq_mw = 2\n"
         "tau_start = -20\ntau_end = 20\n"
     )
-    with pytest.warns(UserWarning, match="static shift"):
+    with pytest.warns(UserWarning, match="static shift") as caught:
         rep = run_compare(spec, "strong_drive", threshold=0.5)
     assert rep.samples  # degraded regime still produces a report
+    assert [w.filename for w in caught] == [__file__]  # points at run_compare's caller
+
+
+# one small config per compare method, with the closed form and the
+# propagator that its row reaches through the harness module's names
+_METHOD_CASES = {
+    "strong_drive": ("delta = 0.07\nfreq_rf = 1\nfreq_mw = 2\ntau_start = -10\ntau_end = 10\n",
+                     "strong_drive_survival", "propagate_tdse"),
+    "weak_drive": ("delta = 0.1\neps0 = 1.3\namp_rf = 8\nfreq_rf = 5\namp_mw = 0.1\n"
+                   "freq_mw = 2.2\ntau_start = -10\ntau_end = 10\n",
+                   "weak_drive_probabilities", "propagate_tdse"),
+    "bloch_pert": (CASCADE_TEXT + "tau_start = -10\ntau_end = 10\nstride = 0.5\n",
+                   "bloch_perturbative", "propagate_bloch"),
+    "rabi": ("v = 0\namp_rf = 1\nfreq_rf = 1\namp_mw = 1\nfreq_mw = 1\n",
+             "rabi_case", "propagate_tdse"),
+    "inverse_lz": ("v = 0\namp_rf = 0.5\nfreq_rf = 1\namp_mw = 1\nfreq_mw = 2\n"
+                   "phase = 1.5707963267948966\n", "inverse_lz_case", "propagate_tdse"),
+}
+
+
+@pytest.mark.parametrize("method", COMPARE_METHODS)
+def test_every_compare_method_builds_one_report_shape(method, monkeypatch):
+    text, closed_form, propagator = _METHOD_CASES[method]
+    calls = {closed_form: 0, propagator: 0}
+
+    def counting(name):
+        fn = getattr(harness, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # a table that held the function objects would miss these patches
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    rep = run_compare(parse_config(text), method, threshold=1e-3)
+    assert calls[closed_form] >= 1 and calls[propagator] == 1, calls
+    assert rep.method == method and rep.samples
+    for s in rep.samples:
+        assert set(s) == {"where", "analytic", "numeric", "abs_dev"}
+        assert s["abs_dev"] == abs(s["analytic"] - s["numeric"])
+    devs = [s["abs_dev"] for s in rep.samples]
+    assert rep.max_abs_dev == max(devs)
+    assert rep.rms_dev == pytest.approx(math.sqrt(math.fsum(d * d for d in devs) / len(devs)),
+                                        rel=1e-12, abs=0.0)
+    assert rep.passed == (rep.max_abs_dev <= rep.threshold)
+    assert len({s["where"] for s in rep.samples}) == len(rep.samples)
+
+
+def test_cli_method_choices_are_the_compare_methods():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    method = next(a for a in sub.choices["compare"]._actions if a.dest == "method")
+    assert tuple(method.choices) == COMPARE_METHODS
+
+
+@pytest.mark.parametrize("observable", OBSERVABLES)
+def test_every_observable_gives_numeric_cells(observable):
+    spec = parse_config("delta = 0.08\namp_rf = 1.5\nfreq_rf = 1\namp_mw = 0.1\nfreq_mw = 2\n"
+                        "tau_start = -5\ntau_end = 5\n")
+    sweep = parse_sweep(json.dumps({
+        "axis1": {"field": "delta", "min": 0.05, "max": 0.1, "steps": 2},
+        "observable": observable,
+    }))
+    lines = run_sweep(spec, sweep).splitlines()
+    assert lines[0] == "delta," + observable
+    assert len(lines) == 3
+    for line in lines[1:]:
+        assert math.isfinite(float(line.split(",")[1])), line
 
 
 def test_run_compare_validation():
@@ -435,6 +508,22 @@ def test_cli_compare_unswept_methods_refuse_before_propagating(tmp_path, capsys,
             argv = ["compare", "--config", str(cfg), "--method", method, "--threshold", "0.1"]
             assert cli_main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("numeric error: " + method), argv
+    assert calls == []
+
+
+def test_cli_compare_bloch_pert_refuses_before_propagating(tmp_path, capsys, monkeypatch):
+    # the truncation is resolved and checked before the window propagates
+    calls = []
+    monkeypatch.setattr(integrate, "solve_ivp", lambda *args: calls.append(args))
+    unswept = tmp_path / "unswept.cfg"
+    unswept.write_text("v = 0\namp_rf = 1\nfreq_rf = 1\namp_mw = 1\nfreq_mw = 1\n")
+    short = tmp_path / "short.cfg"
+    short.write_text("delta = 0.07\namp_rf = 50\nfreq_rf = 1\nfreq_mw = 1\nn_max = 3\n")
+    for cfg, code, err in ((unswept, 1, "config error: cannot rescale a v = 0 config"),
+                           (short, 2, "numeric error: n_max = 3 below ceil(|A/omega|) = 50")):
+        argv = ["compare", "--config", str(cfg), "--method", "bloch_pert", "--threshold", "0.1"]
+        assert cli_main(argv) == code, argv
+        assert capsys.readouterr().err.startswith(err), argv
     assert calls == []
 
 
