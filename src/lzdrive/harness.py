@@ -56,7 +56,9 @@ __all__ = [
 ]
 
 _CFG_KEYS = tuple(f.name for f in fields(DriveConfig))
-_FLOAT_FMT = ".17g"
+# every exported float: %.17g and format(x, ".17g") share one double-to-string
+# conversion, so a batch rendered with % has the bytes of per-value format calls
+_FLOAT_FMT = "%.17g"
 
 
 def _coerce_number(key: str, raw) -> float:
@@ -161,10 +163,27 @@ class CompareReport:
     passed: bool
 
     def to_json(self) -> str:
-        # a shallow dict: json walks the samples itself, so dataclasses.asdict
-        # would only deep-copy them first
+        r"""The bytes of ``json.dumps(asdict(self), indent=2, sort_keys=True)``
+        plus a newline, for ``samples`` that are the flat dicts of JSON
+        scalars ``run_compare`` builds (one level, each non-empty).
+
+        json's ``indent`` forces its pure-Python encoder, so the samples go
+        through the C encoder instead: its item separator carries the
+        depth-3 line break and indent, one replace turns the separators
+        between samples into depth-2 ones (an encoded string holds no raw
+        newline, so only a sample boundary reads ``},\n      {``), and the
+        list is spliced into the indented dump of the other five fields."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc["samples"] = []
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        if not self.samples:
+            return text
+        body = _SAMPLES_ENCODER.encode(self.samples)
+        body = body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        return text.replace('"samples": []', f'"samples": [\n    {{\n      {body}\n    }}\n  ]', 1)
+
+
+_SAMPLES_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +310,21 @@ def parse_sweep(text: str) -> SweepSpec:
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), _FLOAT_FMT)
+    return _FLOAT_FMT % float(x)
 
 
-def _csv(header, rows) -> str:
-    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+def _bulk(row: str, table) -> str:
+    """``row`` %-formatted once per row of the 2-D float array, as one
+    %-format over the whole array."""
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _labels(names, var: str, values) -> list[str]:
+    """f"{name}@{var}={v}" for each value and, within it, each name, with v
+    rendered by _fmt; one bulk format for the whole list."""
+    row = "".join(f"{name}@{var}={_FLOAT_FMT}\n" for name in names)
+    table = np.repeat(np.reshape(values, (-1, 1)), len(names), axis=1)
+    return _bulk(row, table).split("\n")[:-1]
 
 
 def _window(spec: RunSpec, stride: float | None = None) -> dict:
@@ -310,7 +339,7 @@ def run_trace(spec: RunSpec) -> str:
     (tau, p_up, p_dn, ux, uy, uz); deterministic bytes for fixed inputs."""
     tr = propagate_tdse(spec.cfg, **_window(spec))
     cols = np.column_stack([tr.taus, tr.populations(), spinor_to_bloch(tr.data)])
-    return _csv("tau,p_up,p_dn,ux,uy,uz", (map(_fmt, row) for row in cols.tolist()))
+    return "tau,p_up,p_dn,ux,uy,uz\n" + _bulk(",".join([_FLOAT_FMT] * 6) + "\n", cols)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +380,8 @@ def run_sweep(spec: RunSpec, sweep: SweepSpec, workers: int = 1) -> str:
         raise ConfigError("workers must be >= 1", key="workers")
     names, cells = sweep.grid()
     values = [_sweep_cell(spec, sweep.observable, dict(zip(names, c))) for c in cells]
-    rows = ([*map(_fmt, c), v] for c, v in zip(cells, values))
-    return _csv(",".join(names + (sweep.observable,)), rows)
+    rows = (",".join([*map(_fmt, c), v]) + "\n" for c, v in zip(cells, values))
+    return ",".join(names + (sweep.observable,)) + "\n" + "".join(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +411,7 @@ def _bloch_pert(spec):
     trunc = spec.truncation()
     trunc.validate_for(spec.cfg)
     tr = propagate_bloch(spec.cfg, **_window(spec))
-    where = [f"{c}@tau={t}" for t in map(_fmt, tr.taus.tolist()) for c in ("ux", "uy", "uz")]
+    where = _labels(("ux", "uy", "uz"), "tau", tr.taus)
     return where, bloch_perturbative(tr.taus, spec.cfg, trunc), tr.data
 
 
@@ -398,7 +427,7 @@ def _zero_sweep(spec, formula, periods, n_pts):
         spec.cfg, tau_start=0.0, tau_end=t_max, tol=spec.tol, sample_stride=t_max / n_pts
     )
     ts = tr.taus[1:].tolist()
-    where = [f"{p}@t={t}" for t in map(_fmt, ts) for p in ("p_up", "p_dn")]
+    where = _labels(("p_up", "p_dn"), "t", ts)
     return where, [formula(spec.cfg, t) for t in ts], tr.populations()[1:]
 
 

@@ -7,8 +7,9 @@ Runge-Kutta pair (DOP853) in their rotating frame, the passage propagator
 multiplied out by hand and its |c|^2 as a four-path interference sum (both
 from the Cayley-Klein pairs, signed couplings and passage phases, without
 ``transfer_matrix``), the strong-drive exponent regrouped or specialized to
-zero static shift, u_z through the pairwise F/G kernels, and the finite-window
-Cayley-Klein pair from six direct Weber evaluations.  The package
+zero static shift, u_z through the pairwise F/G kernels, the finite-window
+Cayley-Klein pair from six direct Weber evaluations, and the exported CSV
+rows and sample labels with one ``format(x, ".17g")`` call per value.  The package
 keeps one production path per quantity; these stay here so that path is
 checked against something other than itself.
 """
@@ -242,3 +243,15 @@ def bloch_perturbative_pairform(tau, cfg, trunc=None):
     if scalar:
         return float(out[0])
     return out
+
+
+def rowwise_csv(header, table):
+    """CSV text rendered row by row, one ``format(x, ".17g")`` per value."""
+    rows = (",".join(format(float(x), ".17g") for x in row) + "\n" for row in table)
+    return header + "\n" + "".join(rows)
+
+
+def rowwise_labels(names, var, values):
+    """f"{name}@{var}={v}" per value and, within it, per name, with v from
+    one ``format(v, ".17g")`` call each."""
+    return [f"{name}@{var}={format(float(v), '.17g')}" for v in values for name in names]

@@ -20,6 +20,7 @@ from lzdrive.harness import (
     COMPARE_METHODS,
     OBSERVABLES,
     SELFTEST_CHECKS,
+    CompareReport,
     RunSpec,
     SweepSpec,
     parse_config,
@@ -29,6 +30,7 @@ from lzdrive.harness import (
     run_trace,
     selftest,
 )
+from oracles import rowwise_csv, rowwise_labels
 
 CASCADE_TEXT = """
 # cascade reference drive
@@ -425,6 +427,72 @@ def test_every_compare_method_builds_one_report_shape(method, monkeypatch):
                                         rel=1e-12, abs=0.0)
     assert rep.passed == (rep.max_abs_dev <= rep.threshold)
     assert len({s["where"] for s in rep.samples}) == len(rep.samples)
+
+
+@pytest.mark.parametrize("method", COMPARE_METHODS)
+def test_compare_report_json_matches_asdict_dump_for_every_method(method):
+    report = run_compare(parse_config(_METHOD_CASES[method][0]), method, threshold=1e-3)
+    assert report.samples
+    expected = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+    assert report.to_json() == expected
+
+
+def _sample(where, analytic, numeric):
+    return {"where": where, "analytic": analytic, "numeric": numeric,
+            "abs_dev": abs(analytic - numeric)}
+
+
+# labels that an encoder splicing on text would trip over, and floats whose
+# spelling is not plain digits
+_AWKWARD_SAMPLES = [
+    _sample('quote " inside', math.nan, 0.0),
+    _sample("back\\slash \\n", math.inf, -math.inf),
+    _sample("brace } and {", -0.0, 5e-324),
+    _sample("line\nbreak", 1e16, 0.1),
+    _sample("},", 0.0, -0.0),
+    _sample('"},\n      {"', 1.0, 2.0),
+    _sample("\u00e9t\u00e9 \u03c4 \u2192 \U0001d70f", -5e-324, 1.7976931348623157e308),
+]
+
+
+@pytest.mark.parametrize("samples", [[], _AWKWARD_SAMPLES[:1], _AWKWARD_SAMPLES],
+                         ids=["empty", "one", "awkward"])
+def test_compare_report_json_matches_asdict_dump_on_hand_built_reports(samples):
+    report = CompareReport(method='bloch_pert "samples": []', threshold=0.5, samples=samples,
+                           max_abs_dev=math.nan, rms_dev=math.inf, passed=False)
+    expected = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+    assert report.to_json() == expected
+
+
+_RENDER_VALUES = [-0.0, 5e-324, 1e16, 0.1, -5e-324, 1.7976931348623157e308, 2.0**-1022, 1.0 / 3.0]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_run_trace_and_labels_match_the_rowwise_renderer():
+    spec = parse_config(CASCADE_TEXT + "tau_start = -10\ntau_end = 10\nstride = 0.25\n")
+    text = run_trace(spec)
+    tr = integrate.propagate_tdse(spec.cfg, **harness._window(spec))
+    cols = np.column_stack([tr.taus, tr.populations(), integrate.spinor_to_bloch(tr.data)])
+    assert text == rowwise_csv("tau,p_up,p_dn,ux,uy,uz", cols)
+    parsed = np.array([row.split(",") for row in text.splitlines()[1:]], dtype=float)
+    assert _bits(parsed) == _bits(cols)
+
+    report = run_compare(spec, "bloch_pert", threshold=0.5)
+    taus = integrate.propagate_bloch(spec.cfg, **harness._window(spec)).taus
+    assert [s["where"] for s in report.samples] == rowwise_labels(("ux", "uy", "uz"), "tau", taus)
+
+    # the awkward values, one table row and one label each
+    table = np.array(_RENDER_VALUES).reshape(2, -1)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    text = harness._bulk(row, table)
+    assert "h\n" + text == rowwise_csv("h", table)
+    assert _bits([float(x) for x in text.replace("\n", ",").split(",")[:-1]]) == _bits(table.ravel())
+    labels = harness._labels(("p_up", "p_dn"), "t", _RENDER_VALUES)
+    assert labels == rowwise_labels(("p_up", "p_dn"), "t", _RENDER_VALUES)
+    assert _bits([float(w.split("=")[1]) for w in labels[::2]]) == _bits(_RENDER_VALUES)
 
 
 def test_cli_method_choices_are_the_compare_methods():
