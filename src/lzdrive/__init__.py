@@ -6,15 +6,16 @@ Layers:
 
 - ``specfun``: special functions (Bessel, Fresnel, complex log-gamma over
   ``scipy.special``; Stokes phase and the Weber parabolic cylinder function).
-- ``model``: drive parameters, field vector, Hamiltonian, harmonic
-  bookkeeping.
+- ``model``: drive parameters, field vector (with the transverse field and
+  longitudinal phase that ``integrate``'s frame reads), Hamiltonian,
+  harmonic bookkeeping.
 - ``su2``: the SU(2) pair type ``CayleyKlein`` that ``integrate`` and
   ``analytic`` share: compose with ``@``, the exponential of an su(2)
   vector, the ordered tree product and the prefix scan.
 - ``integrate``: sixth-order Magnus propagation (three Gauss points per
   step) of the Schrodinger equation in the frame of the exact longitudinal
-  phase, with a Richardson error estimate held to the requested
-  tolerance; Bloch trajectories are its SO(3) image (numeric ground truth).
+  phase, with a Richardson error estimate (not an upper bound on the
+  error); Bloch trajectories are its SO(3) image (numeric ground truth).
 - ``analytic``: closed-form survival/transition probabilities for strong and
   weak longitudinal drive, Cayley-Klein parameters, unswept special cases.
 - ``blochpert``: perturbative Bloch-vector solutions and their kernel

@@ -102,21 +102,14 @@ def resonance_index(alpha: int, cfg: DriveConfig) -> int:
     return int(n)
 
 
-def _resonant_couplings(cfg: DriveConfig):
-    """[(coupling, branch phase)] for alpha = -1, 0, +1 at resonance."""
+def strong_drive_delta(cfg: DriveConfig) -> float:
+    """Effective crossing exponent |sum_alpha J_alpha e^{i phi_alpha}|^2 over
+    the resonant harmonics (n_alpha, alpha): the double sum over branch pairs
+    of J_alpha J_beta cos(phi_alpha - phi_beta); always >= 0."""
     alpha = np.array(ALPHAS)
     idx = HarmonicIndex(np.array([resonance_index(a, cfg) for a in ALPHAS]), alpha)
-    couplings = effective_coupling(idx, cfg)
-    return list(zip(couplings.tolist(), branch_phase(alpha, cfg).tolist()))
-
-
-def strong_drive_delta(cfg: DriveConfig) -> float:
-    """Effective crossing exponent: double sum over branch pairs of
-    J_alpha J_beta cos(phi_alpha - phi_beta); always >= 0."""
-    cp = _resonant_couplings(cfg)
-    re = sum(j * math.cos(p) for j, p in cp)
-    im = sum(j * math.sin(p) for j, p in cp)
-    return re * re + im * im
+    s = np.sum(effective_coupling(idx, cfg) * np.exp(1j * branch_phase(alpha, cfg)))
+    return float(s.real * s.real + s.imag * s.imag)
 
 
 def strong_drive_survival(cfg: DriveConfig) -> float:

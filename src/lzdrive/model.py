@@ -31,6 +31,7 @@ __all__ = [
     "field_vector",
     "hamiltonian",
     "eigenenergies",
+    "transverse_field",
     "longitudinal_phase",
     "level_offset",
     "effective_coupling",
@@ -153,9 +154,8 @@ def field_vector(tau: float, cfg: DriveConfig) -> FieldVector:
     plus static shift plus longitudinal drive; by is identically zero.
     """
     c = cfg.working()
-    bx = c.delta + c.amp_mw * math.cos(c.freq_mw * tau + c.phase)
     bz = c.v * tau + c.eps0 + c.amp_rf * math.cos(c.freq_rf * tau)
-    return FieldVector(bx, 0.0, bz)
+    return FieldVector(float(transverse_field(tau, c)), 0.0, bz)
 
 
 def hamiltonian(tau: float, cfg: DriveConfig) -> np.ndarray:
@@ -171,6 +171,17 @@ def eigenenergies(tau: float, cfg: DriveConfig) -> tuple[float, float]:
     b = field_vector(tau, cfg)
     e = 0.5 * math.hypot(b.bx, b.bz)
     return (e, -e)
+
+
+def transverse_field(tau, cfg: DriveConfig):
+    """Transverse field b_x(tau) = delta + A_f cos(omega_f*tau + phi): the
+    static gap plus the transverse drive, in the working time unit;
+    vectorized over tau.  Without a transverse drive it is exactly delta,
+    a scalar that broadcasts against any tau."""
+    c = cfg.working()
+    if c.amp_mw == 0.0:
+        return c.delta
+    return c.delta + c.amp_mw * np.cos(c.freq_mw * tau + c.phase)
 
 
 def longitudinal_phase(tau, cfg: DriveConfig):

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from lzdrive.analytic import CayleyKlein, _resonant_couplings, caley_klein_asymptotic
+from lzdrive.analytic import CayleyKlein, caley_klein_asymptotic, resonance_index
 from lzdrive.blochpert import _harmonic_grid, default_truncation, fg_kernels
 from lzdrive.errors import DomainError, IntegrationError, OffResonanceError
 from lzdrive.model import ALPHAS, HarmonicIndex, effective_coupling, passage_phase
@@ -190,8 +190,11 @@ def caley_klein_finite_six_calls(delta, z_start, z_end):
 
 def strong_drive_delta_regrouped(cfg):
     """Algebraically regrouped form of the strong-drive exponent:
-    [J_0 + sum_{alpha != 0} J_alpha cos(phi_alpha)]^2 plus the sine square."""
-    (jm, pm), (j0, _), (jp, pp) = _resonant_couplings(cfg)
+    [J_0 + sum_{alpha != 0} J_alpha cos(phi_alpha)]^2 plus the sine square,
+    with phi_alpha = alpha*phi, one scalar coupling per resonant branch."""
+    jm, j0, jp = (float(effective_coupling(HarmonicIndex(resonance_index(a, cfg), a), cfg))
+                  for a in ALPHAS)
+    pm, pp = -cfg.phase, cfg.phase
     head = (j0 + jp * math.cos(pp) + jm * math.cos(pm)) ** 2
     tail = (jp * math.sin(pp) + jm * math.sin(pm)) ** 2
     return head + tail

@@ -5,7 +5,8 @@ zeta(tau) is the integral of g = b_x e^{-i theta} from -infinity to tau,
 and ``blochpert`` sums it in closed form over the (n, alpha) crossings as
 shifted Fresnel pairs.  Each draw compares one increment zeta(tau_b) -
 zeta(tau_a) with a composite Gauss-Legendre quadrature of the very g that
-``integrate`` steps in (its ``_make_frame``).  That checks the offsets,
+``integrate`` steps in (``model.transverse_field`` times
+e^{-i ``model.longitudinal_phase``}).  That checks the offsets,
 couplings, passage phases and the default truncation with no physics
 approximation, at 1e-12 absolute:
 
@@ -28,22 +29,22 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lzdrive.blochpert import _zeta, default_truncation
-from lzdrive.integrate import _make_frame
-from lzdrive.model import DriveConfig
+from lzdrive.integrate import _rate
+from lzdrive.model import DriveConfig, longitudinal_phase, transverse_field
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _zeta_quadrature(cfg, tau_a, tau_b):
     """Integral of the frame's b_x e^{-i theta} over [tau_a, tau_b]: 16-point
-    Gauss-Legendre panels, each spanning at most 2 radians of the frame's
-    rate bound."""
-    frame = _make_frame(cfg, max(abs(tau_a), abs(tau_b)))
-    panels = max(1, math.ceil((tau_b - tau_a) * frame.rate / 2.0))
+    Gauss-Legendre panels, each spanning at most 2 radians of the
+    integrator's rate bound."""
+    c = cfg.working()
+    panels = max(1, math.ceil((tau_b - tau_a) * _rate(c, max(abs(tau_a), abs(tau_b))) / 2.0))
     edges = np.linspace(tau_a, tau_b, panels + 1)
     half = 0.5 * np.diff(edges)
     t = (edges[:-1] + half)[:, None] + half[:, None] * _NODES
-    g = frame.bx(t) * np.exp(-1j * frame.theta(t))
+    g = transverse_field(t, c) * np.exp(-1j * longitudinal_phase(t, c))
     return np.sum(half * (g @ _WEIGHTS))
 
 

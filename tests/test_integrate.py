@@ -120,10 +120,10 @@ def test_bloch_from_any_initial_vector_matches_bloch_equation():
 def test_time_reversal_returns_initial_state():
     cfg = DriveConfig(delta=0.07, amp_rf=3.0, freq_rf=1.0, amp_mw=0.05, freq_mw=1.5)
     # the solver run forward and then back on one interaction frame
-    frame = integrate._make_frame(cfg, 10.0)
+    c = cfg.working()
     psi0 = np.array([1.0 + 0.0j, 0.0j])
-    fwd = integrate.solve_ivp(frame, [-10.0, 10.0], psi0, 1e-11).y[:, -1]
-    back = integrate.solve_ivp(frame, [10.0, -10.0], fwd, 1e-11).y[:, -1]
+    fwd = integrate.solve_ivp(c, [-10.0, 10.0], psi0, 1e-11).y[:, -1]
+    back = integrate.solve_ivp(c, [10.0, -10.0], fwd, 1e-11).y[:, -1]
     assert np.max(np.abs(back - psi0)) <= 1e-7
     u0 = np.array([0.0, 0.0, 1.0])
     _, fwd = evolve_bloch(cfg, u0, -10.0, 10.0, 1e-11)
@@ -267,9 +267,8 @@ def test_step_doubling_shows_sixth_order():
                             amp_mw=0.5, freq_mw=1.5)
     for cfg, big_t, m0 in ((strong, 10.0, 2**12), (weak, 10.0, 2**9),
                            (order_one, 5.0, 2**7)):
-        frame = integrate._make_frame(cfg, big_t)
         edges = np.array([-big_t, big_t])
-        passes = [np.concatenate(integrate._interval_pairs(frame, edges, m0 << k))
+        passes = [np.concatenate(integrate._interval_pairs(cfg.working(), edges, m0 << k))
                   for k in range(4)]
         diffs = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(passes, passes[1:])]
         for coarse, fine in zip(diffs, diffs[1:]):

@@ -17,6 +17,7 @@ from lzdrive.model import (
     hamiltonian,
     level_offset,
     passage_phase,
+    transverse_field,
 )
 from lzdrive.specfun import bessel_j
 
@@ -74,6 +75,44 @@ def test_field_vector_cascade_reference():
     assert b.bx == pytest.approx(0.15)
     assert b.by == 0.0
     assert b.bz == pytest.approx(25.5)
+
+
+def test_transverse_field_is_field_vector_bx():
+    rng = np.random.default_rng(45)
+    for _ in range(100):
+        cfg = random_config(rng)
+        tau = rng.uniform(-50.0, 50.0)
+        assert transverse_field(tau, cfg) == field_vector(tau, cfg).bx
+
+
+def test_transverse_field_vectorized_over_tau():
+    cfg = DriveConfig(**CASCADE, phase=0.7)
+    taus = np.linspace(-50.0, 50.0, 1001).reshape(7, 143)
+    bx = transverse_field(taus, cfg)
+    assert bx.shape == taus.shape
+    assert np.array_equal(bx, [[transverse_field(t, cfg) for t in row] for row in taus])
+
+
+def test_transverse_field_without_drive_is_delta():
+    cfg = DriveConfig(delta=0.07, eps0=0.5, amp_rf=25.0, freq_rf=1.0, freq_mw=3.0, phase=0.4)
+    assert transverse_field(1.3, cfg) == 0.07
+    assert transverse_field(np.linspace(-5.0, 5.0, 11), cfg) == 0.07
+    unswept = DriveConfig(v=0.0, delta=-0.3, amp_rf=4.0, freq_rf=1.0)
+    assert transverse_field(2.0, unswept) == -0.3
+
+
+def test_transverse_field_follows_working_unit():
+    # v = 4: energies in units of sqrt(v) = 2, so the field halves and the
+    # drive frequency is halved on the tau clock
+    cfg = DriveConfig(v=4.0, delta=0.14, amp_mw=0.5, freq_mw=3.0, phase=0.2)
+    tau = 1.7
+    assert transverse_field(tau, cfg) == pytest.approx(
+        0.07 + 0.25 * math.cos(1.5 * tau + 0.2), rel=1e-15)
+    assert transverse_field(tau, cfg) == transverse_field(tau, cfg.reduced())
+    # v = 0: the raw clock, nothing rescaled
+    flat = DriveConfig(v=0.0, delta=0.14, amp_mw=0.5, freq_mw=3.0, phase=0.2)
+    assert transverse_field(tau, flat) == pytest.approx(
+        0.14 + 0.5 * math.cos(3.0 * tau + 0.2), rel=1e-15)
 
 
 def test_hamiltonian_trivial():
