@@ -136,8 +136,13 @@ class FieldVector(NamedTuple):
 
 
 def _check_alpha(alpha):
-    # a set test: np.isin costs about 20x more on a scalar alpha
-    if not set(ALPHAS).issuperset(np.asarray(alpha).flat):
+    # a tuple test for a plain int, a set test otherwise: np.isin costs
+    # about 20x more on a scalar alpha
+    if type(alpha) is int:
+        ok = alpha in ALPHAS
+    else:
+        ok = set(ALPHAS).issuperset(np.asarray(alpha).flat)
+    if not ok:
         raise DomainError(f"alpha must be -1, 0 or +1, got {alpha}")
 
 
@@ -210,7 +215,10 @@ def effective_coupling(idx: HarmonicIndex, cfg: DriveConfig) -> float:
     of the branch coupling, 2*delta at alpha = 0 and amp_mw at alpha = +-1."""
     _check_alpha(idx.alpha)
     c = cfg.reduced()
-    strength = np.where(idx.alpha == 0, 2.0 * c.delta, c.amp_mw)
+    if type(idx.alpha) is int:
+        strength = 2.0 * c.delta if idx.alpha == 0 else c.amp_mw
+    else:
+        strength = np.where(idx.alpha == 0, 2.0 * c.delta, c.amp_mw)
     return 0.25 * strength * bessel_j(idx.n, c.rf_ratio())
 
 
@@ -218,6 +226,7 @@ def passage_phase(idx: HarmonicIndex, cfg: DriveConfig) -> float:
     """Phase jump of one passage: (omega_n^alpha)^2 / 2 - alpha*phi.
 
     The square is reduced modulo 2 pi before the drive phase is subtracted,
-    so phi keeps its own precision however far the crossing sits out."""
+    so phi keeps its own precision however far the crossing sits out; it is
+    >= 0, so ``%`` reduces it exactly as fmod would, scalar or array."""
     w = level_offset(idx, cfg)
-    return np.fmod(0.5 * w * w, 2.0 * math.pi) - branch_phase(idx.alpha, cfg)
+    return (0.5 * w * w) % (2.0 * math.pi) - branch_phase(idx.alpha, cfg)

@@ -10,7 +10,8 @@ scipy does not provide, are evaluated here in double precision.  D_nu takes
 its large-|z| asymptotic expansion, one series that gives D and D', from
 |z| = 12 on and wherever in 3.5 < |z| < 12 it already converges to 1e-13;
 elsewhere inside, one Taylor recurrence of its ODE, started from DLMF's
-origin values or from the expansion at radius 12.  One connection
+origin values (one step across the disk |z| <= 3.5, and an outward march
+on from its edge) or from the expansion at radius 12.  One connection
 identity, with its coefficients in the exponent, covers the left half-plane.
 On the diagonals arg z = +-pi/4 with order nu = -i delta, the same identity
 gives D_nu(-w) and D_{nu-1}(-w) from D_nu(w) and D_{nu-1}(w) alone
@@ -68,15 +69,19 @@ def bessel_j(n, x: float):
     raise DomainError.  Satisfies J_{-n}(x) = (-1)^n J_n(x); absolute error
     <= 1e-12 for |x| <= 100.
     """
-    order = np.asarray(n)
-    if order.dtype.kind not in "iuf" or not np.all(
-        np.isfinite(order) & (order == np.trunc(order))
-    ):
-        raise DomainError(f"Bessel order must be an integer, got {n!r}")
-    top = abs(order).max(initial=0)
+    if type(n) is int:  # a plain int (a bool is not one) needs no array checks
+        order, top = n, abs(n)
+    else:
+        order = np.asarray(n)
+        if order.dtype.kind not in "iuf" or not np.all(
+            np.isfinite(order) & (order == np.trunc(order))
+        ):
+            raise DomainError(f"Bessel order must be an integer, got {n!r}")
+        top = abs(order).max(initial=0)
     if top > _BESSEL_MAX_ORDER:
         raise DomainError(f"Bessel order {top:g} outside validated range")
-    order = order.astype(int)
+    if order is not n:
+        order = order.astype(int)
     if not math.isfinite(x):
         raise DomainError("Bessel argument must be finite")
     if abs(x) >= _BESSEL_MAX_ARG:
@@ -198,11 +203,20 @@ def log_gamma(z) -> complex:
 
 
 def reciprocal_gamma(z) -> complex:
-    """1 / Gamma(z); zero at the poles of Gamma."""
+    """1 / Gamma(z); exactly zero at the poles of Gamma.
+
+    ``scipy.special.rgamma``, which is exp(-loggamma(z)) bit for bit, with
+    the cut and subnormal |z| taken as ``log_gamma`` takes them.  A
+    non-finite z raises DomainError.
+    """
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError("reciprocal_gamma argument must be finite")
     if _is_nonpositive_integer(z):
         return 0.0 + 0.0j
-    return cmath.exp(-log_gamma(z))
+    if abs(z) < sys.float_info.min:
+        return cmath.exp(-log_gamma(z))
+    return complex(special.rgamma(complex(z.real, z.imag + 0.0)))
 
 
 def stokes_phase(delta: float) -> float:
@@ -309,8 +323,9 @@ def _weber_right(nu: complex, z: complex, log_scale: complex = 0.0) -> complex:
     holds over most of the ring from |z| of about 8 on.  Inside, one Taylor
     step from the origin values covers |z| <= 3.5; the rest of the ring is
     Taylor-marched along the ray in steps of at most 0.75, in the direction
-    in which D grows: outward from the origin where Re z^2 < 0, inward from
-    the expansion's D and D' at radius 12 otherwise.  A Taylor result
+    in which D grows: outward where Re z^2 < 0, from the D and D' that the
+    same one step gives at the disk edge 3.5 z/|z|, and inward from the
+    expansion's D and D' at radius 12 otherwise.  A Taylor result
     refuses with AccuracyError when its largest term times 5e-15, or the
     last term of the expansion it starts from, exceeds the guard times |D|.
     """
@@ -326,21 +341,27 @@ def _weber_right(nu: complex, z: complex, log_scale: complex = 0.0) -> complex:
         val, _, last = _weber_asym(nu, z, log_scale)
         if last <= _WEBER_SERIES_TOL:
             return val
+    peak = 0.0
     if az <= _WEBER_DISK_RADIUS or (z * z).real < 0.0:
         # D_nu(0) and D'_nu(0), DLMF 12.2.6-7
         start, err = 0j, 0.0
         pref = _SQRT_PI * cmath.exp(0.5 * nu * math.log(2.0))
         w = pref * reciprocal_gamma(0.5 * (1.0 - nu))
         dw = -math.sqrt(2.0) * pref * reciprocal_gamma(-0.5 * nu)
+        if az > _WEBER_DISK_RADIUS:
+            # the disk step to its edge on the ray through z
+            edge = _WEBER_DISK_RADIUS * z / az
+            w, hdw, peak = _weber_taylor(nu, start, w, edge * dw, edge)
+            start, dw = edge, hdw / edge
     else:
         start = _WEBER_ASYM_RADIUS * z / az
         w, dw, err = _weber_asym(nu, start)
     steps = 1
     if az > _WEBER_DISK_RADIUS:
-        steps = math.ceil(abs(z - start) / _WEBER_MARCH_STEP)
+        # at least one step, should z - start round to 0
+        steps = max(1, math.ceil(abs(z - start) / _WEBER_MARCH_STEP))
     h = (z - start) / steps
     hdw = h * dw
-    peak = 0.0
     for i in range(steps):
         w, hdw, p = _weber_taylor(nu, start + i * h, w, hdw, h)
         peak = max(peak, p)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lzdrive.errors import ConfigError, DomainError
+from lzdrive.errors import AccuracyError, ConfigError, DomainError
 from lzdrive.model import (
     ALPHAS,
     DriveConfig,
@@ -236,3 +236,53 @@ def test_alpha_validation():
                 fn(HarmonicIndex(np.arange(3), alpha), cfg)
         with pytest.raises(DomainError, match="alpha"):
             branch_phase(alpha, cfg)
+
+
+def test_scalar_and_array_harmonic_lookups_agree_bit_for_bit():
+    # a plain int (n, alpha) takes the scalar path of each lookup; it must
+    # give the same bytes as its element of one broadcast-grid call
+    rng = np.random.default_rng(20240530)
+    n = np.arange(-5, 6)
+    alpha = np.array(ALPHAS)
+    grid = HarmonicIndex(n, alpha[:, None])
+    for k in range(200):
+        cfg = DriveConfig(
+            v=(1.0, 4.0, 0.3)[k % 3],
+            delta=rng.uniform(-0.2, 0.2),
+            eps0=rng.uniform(-2.0, 2.0),
+            amp_rf=rng.uniform(0.0, 20.0),
+            freq_rf=rng.uniform(0.5, 50.0),
+            amp_mw=rng.uniform(-0.3, 0.3),
+            freq_mw=rng.uniform(0.2, 3.0),
+            phase=rng.uniform(0.0, 2.0 * math.pi),
+        )
+        phases = branch_phase(alpha, cfg)
+        for fn in (effective_coupling, level_offset, passage_phase):
+            table = fn(grid, cfg)
+            for i, a in enumerate(ALPHAS):
+                for j, m in enumerate(n.tolist()):
+                    got = np.float64(fn(HarmonicIndex(m, a), cfg)).tobytes()
+                    assert got == table[i, j].tobytes(), (fn.__name__, m, a, cfg)
+        for i, a in enumerate(ALPHAS):
+            assert np.float64(branch_phase(a, cfg)).tobytes() == phases[i].tobytes()
+
+
+def test_bessel_j_scalar_orders_match_the_array_path():
+    rng = np.random.default_rng(20240531)
+    xs = np.concatenate([rng.uniform(-100.0, 100.0, 40), [0.0, 1e-300, 199_078.9]])
+    orders = np.arange(-60, 61)
+    for x in xs.tolist():
+        table = bessel_j(orders, x)
+        for j, m in enumerate(orders.tolist()):
+            want = table[j].tobytes()
+            for order in (m, np.int64(m), float(m)):
+                assert np.float64(bessel_j(order, x)).tobytes() == want, (order, x)
+    # the scalar path keeps the array path's refusals
+    for order in (10_001, -10_001):
+        with pytest.raises(DomainError):
+            bessel_j(order, 1.0)
+    with pytest.raises(DomainError):
+        bessel_j(True, 1.0)
+    for x in (199_079.0, -199_079.0, 1e7):
+        with pytest.raises(AccuracyError):
+            bessel_j(3, x)

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from lzdrive import specfun
 from lzdrive.errors import AccuracyError, DomainError
 from lzdrive.harness import SELFTEST_CHECKS
 from lzdrive.specfun import (
@@ -313,6 +314,34 @@ def test_log_gamma_pole_errors():
     assert reciprocal_gamma(-3.0) == 0.0
 
 
+def _bits(z) -> bytes:
+    return np.complex128(z).tobytes()
+
+
+def test_reciprocal_gamma_is_exp_of_minus_log_gamma_bit_for_bit():
+    # the two arguments of the Weber origin values, (1 - nu)/2 and -nu/2,
+    # over the order box, a quarter of the orders real (the negative ones
+    # put -nu/2 on the cut of log Gamma)
+    rng = np.random.default_rng(RNG_SEED + 30)
+    for k in range(2000):
+        nu = complex(rng.uniform(-3.0, 3.0), 0.0 if k % 4 == 0 else rng.uniform(-3.0, 3.0))
+        for z in (0.5 * (1.0 - nu), -0.5 * nu):
+            if z.real <= 0.0 and z.imag == 0.0 and z.real == math.floor(z.real):
+                continue
+            assert _bits(reciprocal_gamma(z)) == _bits(cmath.exp(-log_gamma(z))), z
+    # exactly zero at the poles, whatever the sign of a zero imaginary part
+    for z in (0.0, -1.0, -7.0, complex(0.0, -0.0), complex(-2.0, -0.0), -0.0):
+        assert _bits(reciprocal_gamma(z)) == _bits(0j), z
+    # at subnormal |z| log_gamma's -log z is taken, so 1/Gamma(z) = z to rounding
+    for z in (1e-310, complex(3e-320, -2e-315), -4e-318j):
+        got = reciprocal_gamma(z)
+        assert _bits(got) == _bits(cmath.exp(-log_gamma(z))), z
+        assert abs(got - z) <= 1e-15 * abs(z), z
+    for z in (math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(-2.0, math.nan)):
+        with pytest.raises(DomainError):
+            reciprocal_gamma(z)
+
+
 def test_stokes_phase_values_and_continuity():
     assert stokes_phase(0.0) == pytest.approx(math.pi / 4, abs=0.0)
     # frozen from the log-gamma product oracle
@@ -399,6 +428,56 @@ def test_weber_ring_against_mpmath():
             with mpmath.workdps(30):
                 ref = mpmath.pcfd(nu, z)
                 assert abs(mpmath.mpc(got) - ref) <= 2e-11 * abs(ref), (nu, z)
+
+
+def test_weber_outward_march_starts_at_the_disk_edge(monkeypatch):
+    # ring points with Re z^2 < 0 where the expansion misses 1e-13 march
+    # outward: one Taylor step from the origin to the disk edge on their
+    # ray, then steps of at most 0.75.  The orders are those of the
+    # finite-window pair, nu = -i delta and nu - 1; the diagonal points are
+    # built as caley_klein_finite builds its arguments, i tau e^{-i pi/4},
+    # where the rounding of Re z^2 picks the outward march, and the others
+    # lie strictly between the diagonal and the imaginary axis
+    steps = []
+    taylor = specfun._weber_taylor
+
+    def counting(*args):
+        steps[-1] += 1
+        return taylor(*args)
+
+    monkeypatch.setattr(specfun, "_weber_taylor", counting)
+    rng = np.random.default_rng(RNG_SEED + 31)
+    eighth = cmath.exp(-0.25j * math.pi)
+    for diagonal in (True, False):
+        taken = 0
+        while taken < 40:
+            nu = -1j * rng.uniform(1e-3, 3.0) - float(rng.integers(0, 2))
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            r = rng.uniform(3.5, 12.0)
+            if diagonal:
+                z = 1j * (sign * r * eighth)
+                z = -z if z.real < 0.0 else z
+            else:
+                z = r * cmath.exp(1j * sign * math.pi * rng.uniform(0.25, 0.5))
+            if not (z * z).real < 0.0 or _weber_asym(nu, z)[2] <= _WEBER_SERIES_TOL:
+                continue
+            taken += 1
+            steps.append(0)
+            got = weber_d(nu, z)
+            assert steps[-1] == 1 + math.ceil((abs(z) - 3.5) / 0.75), (nu, z)
+            with mpmath.workdps(30):
+                ref = mpmath.pcfd(nu, z)
+                assert abs(mpmath.mpc(got) - ref) <= 2e-11 * abs(ref), (nu, z)
+    # one ulp past the disk edge on the diagonal, z minus the edge rounds to
+    # 0: the march still takes its one (empty) step after the disk step
+    z = 1j * (math.nextafter(3.5, 4.0) * eighth)
+    assert abs(z) > 3.5 and (z * z).real < 0.0 and z - 3.5 * z / abs(z) == 0
+    steps.append(0)
+    got = weber_d(-0.3j, z)
+    assert steps[-1] == 2
+    with mpmath.workdps(30):
+        ref = mpmath.pcfd(-0.3j, z)
+        assert abs(mpmath.mpc(got) - ref) <= 2e-11 * abs(ref)
 
 
 def test_weber_mirror_matches_the_direct_reflection():
