@@ -7,8 +7,8 @@ Layers:
 - ``specfun``: special functions (Bessel, Fresnel, complex log-gamma over
   ``scipy.special``; Stokes phase and the Weber parabolic cylinder function).
 - ``model``: drive parameters, field vector (with the transverse field and
-  longitudinal phase that ``integrate``'s frame reads), Hamiltonian,
-  harmonic bookkeeping.
+  longitudinal phase that ``integrate``'s frame reads), Hamiltonian, and
+  the (n, alpha) crossing table ``crossings`` that every closed form reads.
 - ``su2``: the SU(2) pair type ``CayleyKlein`` that ``integrate`` and
   ``analytic`` share: compose with ``@``, the exponential of an su(2)
   vector, the ordered tree product and the prefix scan.
@@ -17,7 +17,8 @@ Layers:
   phase, with a Richardson error estimate (not an upper bound on the
   error); Bloch trajectories are its SO(3) image (numeric ground truth).
 - ``analytic``: closed-form survival/transition probabilities for strong and
-  weak longitudinal drive, Cayley-Klein parameters, unswept special cases.
+  weak longitudinal drive, Cayley-Klein parameters (a finite-window transfer
+  matrix is the frame propagator over its window), unswept special cases.
 - ``blochpert``: perturbative Bloch-vector solutions and their kernel
   algebra.
 - ``harness``: run configs, traces, parameter sweeps, comparison reports,
@@ -34,15 +35,15 @@ from .errors import (
 )
 from .model import (
     ALPHAS,
+    Crossings,
     DriveConfig,
     FieldVector,
     HarmonicIndex,
-    effective_coupling,
+    crossings,
     eigenenergies,
     field_vector,
     hamiltonian,
     level_offset,
-    passage_phase,
 )
 from .integrate import (
     SolveStats,
@@ -97,6 +98,7 @@ __all__ = [
     "CayleyKlein",
     "CompareReport",
     "ConfigError",
+    "Crossings",
     "DomainError",
     "DriveConfig",
     "FieldVector",
@@ -116,8 +118,8 @@ __all__ = [
     "bloch_perturbative",
     "caley_klein_asymptotic",
     "caley_klein_finite",
+    "crossings",
     "default_truncation",
-    "effective_coupling",
     "eigenenergies",
     "fg_kernels",
     "field_vector",
@@ -127,7 +129,6 @@ __all__ = [
     "lm_kernel",
     "parse_config",
     "parse_sweep",
-    "passage_phase",
     "phase_kernel",
     "populations",
     "propagate_bloch",

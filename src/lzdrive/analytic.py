@@ -7,10 +7,19 @@ harmonics; the survival probability is exp(-2*pi*delta_eff).
 Weak longitudinal drive: one passage is the ordered product of three SU(2)
 transfer matrices (one per sub-crossing branch).  Each is a Cayley-Klein
 pair of the shared ``su2.CayleyKlein`` type, asymptotic or finite-time,
-whose b carries the coupling's sign and the passage phase; pairs compose
-with ``@``, and the final populations are |c|^2 of that product.  A
-finite-time pair is the crossing-frame propagator of the Weber-function
-solution over its window, so pairs over adjacent windows compose.
+built from one row of ``model.crossings``: b carries the coupling's sign and
+the passage phase psi.  Pairs compose with ``@``, and the final populations
+are |c|^2 of that product.  A finite-time pair is the crossing-frame
+propagator of the Weber-function solution over its window, so pairs over
+adjacent windows compose, and its b carries e^{-i psi}: it equals the frame
+propagator of ``integrate.propagate_tdse`` over the window entry by entry.
+The asymptotic pair keeps e^{+i psi} against the Stokes phase e^{-i chi},
+the pairing of the adiabatic-impulse product (Shevchenko, Ashhab & Nori,
+Phys. Rep. 492, 1 (2010)), not the frame's: the finite pair over a
+symmetric window [-T, T] shares its Stokes sign, so flipping psi alone
+would not give the frame's convention, and it moves the weak-drive
+probabilities by up to 6.4e-3 on random weak configs, away from the
+numerics.  Conjugating a whole pair leaves every |c|^2 as it is.
 
 Unswept special cases (v = 0): the commensurate-drive Rabi formula, and the
 sinusoidally swept crossing as the finite-time pair of its effective linear
@@ -25,15 +34,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, OffResonanceError, UnsupportedConfigError
-from .model import (
-    ALPHAS,
-    DriveConfig,
-    HarmonicIndex,
-    branch_phase,
-    effective_coupling,
-    level_offset,
-    passage_phase,
-)
+from .model import ALPHAS, DriveConfig, HarmonicIndex, crossings, level_offset
 from .specfun import (
     _WEBER_MAX_ABS_Z,
     _WEBER_MAX_ORDER,
@@ -108,7 +109,7 @@ def strong_drive_delta(cfg: DriveConfig) -> float:
     of J_alpha J_beta cos(phi_alpha - phi_beta); always >= 0."""
     alpha = np.array(ALPHAS)
     idx = HarmonicIndex(np.array([resonance_index(a, cfg) for a in ALPHAS]), alpha)
-    s = np.sum(effective_coupling(idx, cfg) * np.exp(1j * branch_phase(alpha, cfg)))
+    s = np.sum(crossings(idx, cfg).coupling * np.exp(1j * alpha * cfg.phase))
     return float(s.real * s.real + s.imag * s.imag)
 
 
@@ -202,35 +203,41 @@ def transfer_matrix(
     tau_end: float | None = None,
 ) -> CayleyKlein:
     """SU(2) transfer matrix of one (n, alpha) sub-crossing, as the pair
-    (a, +-b e^{i psi}) with psi its passage phase.
+    (a, +-b e^{i psi}) with psi its passage phase, one row of
+    ``model.crossings``.
 
     The crossing exponent is the squared effective coupling; a negative
     coupling is conjugation by sigma_z, which flips the sign of b.  With
     asymptotic=False the window (tau_start, tau_end) is required and the
-    finite-time pair is used instead; those compose over adjacent windows.
-    A window given with asymptotic=True, or an index that is not a single
-    crossing, raises DomainError."""
+    finite-time pair (a, +-b e^{-i psi}) is used instead: the frame
+    propagator of ``integrate.propagate_tdse`` over the window, so those
+    compose over adjacent windows.  The asymptotic pair keeps e^{+i psi},
+    the adiabatic-impulse pairing with the Stokes phase (see the module
+    docstring).  A window given with asymptotic=True, or an index that is
+    not a single crossing, raises DomainError."""
     if asymptotic and (tau_start is not None or tau_end is not None):
         raise DomainError("transfer_matrix takes a window only with asymptotic=False")
-    j = effective_coupling(idx, cfg)
-    if np.ndim(j):  # the coupling broadcasts over both indices
+    x = crossings(idx, cfg)
+    j = x.coupling
+    if np.ndim(j):  # the table broadcasts over both indices
         raise DomainError(f"transfer_matrix takes one (n, alpha) crossing, got {idx}")
     delta = j * j
     if asymptotic:
         ck = caley_klein_asymptotic(delta)
+        turn = cmath.exp(1j * x.phase)
     else:
         if tau_start is None or tau_end is None:
             raise DomainError(
                 "finite-window transfer_matrix needs tau_start and tau_end"
             )
-        off = level_offset(idx, cfg)
         ck = caley_klein_finite(
             delta,
-            (tau_start + off) * _EIGHTH_TURN,
-            (tau_end + off) * _EIGHTH_TURN,
+            (tau_start + x.offset) * _EIGHTH_TURN,
+            (tau_end + x.offset) * _EIGHTH_TURN,
         )
+        turn = cmath.exp(-1j * x.phase)
     b = -ck.b if j < 0.0 else ck.b
-    return CayleyKlein(ck.a, b * cmath.exp(1j * passage_phase(idx, cfg)))
+    return CayleyKlein(ck.a, b * turn)
 
 
 def single_passage_propagator(cfg: DriveConfig) -> PassagePropagator:

@@ -22,15 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .model import (
-    ALPHAS,
-    DriveConfig,
-    HarmonicIndex,
-    effective_coupling,
-    level_offset,
-    longitudinal_phase,
-    passage_phase,
-)
+from .model import ALPHAS, DriveConfig, HarmonicIndex, crossings, longitudinal_phase
 from .specfun import scaled_fresnel
 
 __all__ = [
@@ -88,10 +80,9 @@ class LMKernel(NamedTuple):
 def phase_kernel(tau, idx: HarmonicIndex, cfg: DriveConfig):
     """Accumulated phase (tau + offset)^2/2 - passage phase of one harmonic;
     minimized (value -Psi) at the crossing time tau = -offset."""
-    w = level_offset(idx, cfg)
-    psi = passage_phase(idx, cfg)
+    x = crossings(idx, cfg)
     tau = np.asarray(tau, dtype=float)
-    return 0.5 * (tau + w) ** 2 - psi
+    return 0.5 * (tau + x.offset) ** 2 - x.phase
 
 
 def lm_kernel(x, y) -> LMKernel:
@@ -120,19 +111,6 @@ def fg_kernels(x, xp):
     return f_plus, f_minus, g_plus, g_minus
 
 
-def _harmonic_grid(cfg: DriveConfig, trunc: TruncationSpec):
-    """Couplings, offsets and passage phases on the (n, alpha) grid, one
-    broadcast call each, raveled alpha-major to length 3*(2*n_max + 1)."""
-    trunc.validate_for(cfg)
-    n = np.arange(-trunc.n_max, trunc.n_max + 1)
-    grid = HarmonicIndex(n, np.array(ALPHAS)[:, None])
-    return (
-        effective_coupling(grid, cfg).ravel(),
-        level_offset(grid, cfg).ravel(),
-        passage_phase(grid, cfg).ravel(),
-    )
-
-
 def ac_as(tau, cfg: DriveConfig, trunc: TruncationSpec):
     """Longitudinal rotation sums a_c = sum_n J_n cos(K_n), a_s with sin,
     over the alpha = 0 phase kernels; broadcasts over tau.  By Jacobi-Anger
@@ -150,10 +128,14 @@ def _zeta(tau, cfg: DriveConfig, trunc: TruncationSpec):
     """First-order Magnus generator zeta(tau) (tau may be +inf): the integral
     of b_x e^{-i theta} from -infinity to tau as 2 sqrt(pi) sum_k J_k
     e^{i Psi_k} (C_k - i S_k), (C_k, S_k) the shifted Fresnel pair at
-    tau + offset_k, summed over raveled times so every shape agrees."""
-    couplings, offsets, phases = _harmonic_grid(cfg, trunc)
-    cc, ss = scaled_fresnel(np.reshape(tau, (-1, 1)) + offsets)
-    w = _TWO_SQRT_PI * couplings * np.exp(1j * phases)
+    tau + offset_k, summed over raveled times so every shape agrees.  The
+    crossing table covers the (n, alpha) grid, |n| <= n_max, raveled
+    alpha-major."""
+    trunc.validate_for(cfg)
+    n = np.arange(-trunc.n_max, trunc.n_max + 1)
+    x = crossings(HarmonicIndex(n, np.array(ALPHAS)[:, None]), cfg)
+    cc, ss = scaled_fresnel(np.reshape(tau, (-1, 1)) + x.offset.ravel())
+    w = _TWO_SQRT_PI * x.coupling.ravel() * np.exp(1j * x.phase.ravel())
     # (C - iS) w = C w + S (-iw), each weight vector as a real (re, im) pair
     parts = cc @ np.column_stack([w.real, w.imag]) + ss @ np.column_stack([w.imag, -w.real])
     return (parts[:, 0] + 1j * parts[:, 1]).reshape(np.shape(tau))

@@ -8,8 +8,10 @@ dimensionless convention tau = t*sqrt(v) with energies measured in sqrt(v),
 so a config built with v = 1 is already dimensionless.
 
 The harmonic bookkeeping (photon index n, sub-crossing branch alpha) shared
-by every closed-form result lives here: level offsets, effective couplings,
-passage and branch phases, each broadcast over arrays of both indices.
+by every closed-form result lives here: one crossing table, ``crossings``,
+gives the level offset, effective coupling and passage phase of every
+(n, alpha) crossing, broadcast over arrays of both indices, and
+``level_offset`` is its one offset formula.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "ALPHAS",
     "DriveConfig",
     "HarmonicIndex",
+    "Crossings",
     "FieldVector",
     "field_vector",
     "hamiltonian",
@@ -34,9 +37,7 @@ __all__ = [
     "transverse_field",
     "longitudinal_phase",
     "level_offset",
-    "effective_coupling",
-    "passage_phase",
-    "branch_phase",
+    "crossings",
 ]
 
 #: Sub-crossing branches generated by the transverse drive.
@@ -122,11 +123,21 @@ class HarmonicIndex(NamedTuple):
     """Photon index n of the longitudinal drive and branch alpha in
     {-1, 0, +1} labelling the transverse sub-crossing.
 
-    Either field may be an array; the harmonic functions below broadcast
-    n against alpha and return one value per (n, alpha) crossing."""
+    Either field may be an array; ``level_offset`` and ``crossings``
+    broadcast n against alpha and return one value per (n, alpha) crossing."""
 
     n: int
     alpha: int
+
+
+class Crossings(NamedTuple):
+    """The (n, alpha) crossing table: offset omega_n^alpha (the crossing sits
+    at tau = -offset), effective coupling and passage phase, each a scalar
+    or an array broadcast over the ``HarmonicIndex`` that built it."""
+
+    offset: float
+    coupling: float
+    phase: float
 
 
 class FieldVector(NamedTuple):
@@ -144,12 +155,6 @@ def _check_alpha(alpha):
         ok = set(ALPHAS).issuperset(np.asarray(alpha).flat)
     if not ok:
         raise DomainError(f"alpha must be -1, 0 or +1, got {alpha}")
-
-
-def branch_phase(alpha: int, cfg: DriveConfig) -> float:
-    """Drive phase carried by each branch: +phi, 0, -phi for alpha = +1, 0, -1."""
-    _check_alpha(alpha)
-    return alpha * cfg.phase
 
 
 def field_vector(tau: float, cfg: DriveConfig) -> FieldVector:
@@ -210,23 +215,21 @@ def level_offset(idx: HarmonicIndex, cfg: DriveConfig) -> float:
     return c.eps0 + idx.n * c.freq_rf + idx.alpha * c.freq_mw
 
 
-def effective_coupling(idx: HarmonicIndex, cfg: DriveConfig) -> float:
-    """Effective Rabi coupling of one harmonic: J_n(A/omega) times a quarter
-    of the branch coupling, 2*delta at alpha = 0 and amp_mw at alpha = +-1."""
-    _check_alpha(idx.alpha)
+def crossings(idx: HarmonicIndex, cfg: DriveConfig) -> Crossings:
+    """Crossing table of the (n, alpha) harmonics, in units of sqrt(v).
+
+    The coupling is J_n(A/omega) times a quarter of the branch coupling,
+    2*delta at alpha = 0 and amp_mw at alpha = +-1.  The passage phase is
+    (omega_n^alpha)^2 / 2 - alpha*phi, with the square reduced modulo 2 pi
+    before the drive phase is subtracted, so phi keeps its own precision
+    however far the crossing sits out; the square is >= 0, so ``%`` reduces
+    it exactly as fmod would, scalar or array."""
     c = cfg.reduced()
+    w = level_offset(idx, c)
     if type(idx.alpha) is int:
         strength = 2.0 * c.delta if idx.alpha == 0 else c.amp_mw
     else:
         strength = np.where(idx.alpha == 0, 2.0 * c.delta, c.amp_mw)
-    return 0.25 * strength * bessel_j(idx.n, c.rf_ratio())
-
-
-def passage_phase(idx: HarmonicIndex, cfg: DriveConfig) -> float:
-    """Phase jump of one passage: (omega_n^alpha)^2 / 2 - alpha*phi.
-
-    The square is reduced modulo 2 pi before the drive phase is subtracted,
-    so phi keeps its own precision however far the crossing sits out; it is
-    >= 0, so ``%`` reduces it exactly as fmod would, scalar or array."""
-    w = level_offset(idx, cfg)
-    return (0.5 * w * w) % (2.0 * math.pi) - branch_phase(idx.alpha, cfg)
+    coupling = 0.25 * strength * bessel_j(idx.n, c.rf_ratio())
+    phase = (0.5 * w * w) % (2.0 * math.pi) - idx.alpha * c.phase
+    return Crossings(w, coupling, phase)

@@ -21,9 +21,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from lzdrive.analytic import CayleyKlein, caley_klein_asymptotic, resonance_index
-from lzdrive.blochpert import _harmonic_grid, default_truncation, fg_kernels
+from lzdrive.blochpert import default_truncation, fg_kernels
 from lzdrive.errors import DomainError, IntegrationError, OffResonanceError
-from lzdrive.model import ALPHAS, HarmonicIndex, effective_coupling, passage_phase
+from lzdrive.model import ALPHAS, HarmonicIndex, crossings
 from lzdrive.specfun import bessel_j, log_gamma, weber_d
 
 _RES_TOL = 1e-6
@@ -112,10 +112,10 @@ def _passage_branches(cfg):
     passage phase kept apart from b."""
     out = []
     for alpha in ALPHAS:
-        idx = HarmonicIndex(0, alpha)
-        j = effective_coupling(idx, cfg)
+        x = crossings(HarmonicIndex(0, alpha), cfg)
+        j = x.coupling
         ck = caley_klein_asymptotic(j * j)
-        out.append((ck.a, -ck.b if j < 0.0 else ck.b, passage_phase(idx, cfg)))
+        out.append((ck.a, -ck.b if j < 0.0 else ck.b, x.phase))
     return out
 
 
@@ -192,7 +192,7 @@ def strong_drive_delta_regrouped(cfg):
     """Algebraically regrouped form of the strong-drive exponent:
     [J_0 + sum_{alpha != 0} J_alpha cos(phi_alpha)]^2 plus the sine square,
     with phi_alpha = alpha*phi, one scalar coupling per resonant branch."""
-    jm, j0, jp = (float(effective_coupling(HarmonicIndex(resonance_index(a, cfg), a), cfg))
+    jm, j0, jp = (float(crossings(HarmonicIndex(resonance_index(a, cfg), a), cfg).coupling)
                   for a in ALPHAS)
     pm, pp = -cfg.phase, cfg.phase
     head = (j0 + jp * math.cos(pp) + jm * math.cos(pm)) ** 2
@@ -230,7 +230,10 @@ def bloch_perturbative_pairform(tau, cfg, trunc=None):
     Quadratic in the truncated grid size; meant for spot checks."""
     if trunc is None:
         trunc = default_truncation(cfg)
-    couplings, offsets, phases = _harmonic_grid(cfg, trunc)
+    trunc.validate_for(cfg)
+    n = np.arange(-trunc.n_max, trunc.n_max + 1)
+    x = crossings(HarmonicIndex(n, np.array(ALPHAS)[:, None]), cfg)
+    couplings, offsets, phases = x.coupling.ravel(), x.offset.ravel(), x.phase.ravel()
     tau = np.asarray(tau, dtype=float)
     scalar = tau.ndim == 0
     t = np.atleast_1d(tau)

@@ -22,13 +22,7 @@ from lzdrive.analytic import (
 )
 from lzdrive.errors import DomainError, OffResonanceError, UnsupportedConfigError
 from lzdrive.integrate import propagate_tdse
-from lzdrive.model import (
-    DriveConfig,
-    HarmonicIndex,
-    effective_coupling,
-    level_offset,
-    passage_phase,
-)
+from lzdrive.model import DriveConfig, HarmonicIndex, crossings, level_offset, longitudinal_phase
 from oracles import (
     passage_entries_expanded,
     strong_drive_delta_regrouped,
@@ -260,14 +254,15 @@ def test_transfer_matrix_zero_coupling_keeps_phase_bookkeeping():
     cfg = DriveConfig(eps0=0.4, freq_rf=1.0, freq_mw=1.0, phase=0.3)
     idx = HarmonicIndex(0, 1)
     np.testing.assert_allclose(transfer_matrix(idx, cfg).matrix(), np.eye(2), atol=0.0)
-    assert passage_phase(idx, cfg) == pytest.approx(0.5 * (0.4 + 1.0) ** 2 - 0.3)
+    assert crossings(idx, cfg).phase == pytest.approx(0.5 * (0.4 + 1.0) ** 2 - 0.3)
     # with the coupling on, b carries the passage phase on top of the
     # Stokes phase of the bare pair
     cfg = dataclasses.replace(cfg, amp_mw=0.2)
     ck = transfer_matrix(idx, cfg)
-    bare = caley_klein_asymptotic(effective_coupling(idx, cfg) ** 2)
+    x = crossings(idx, cfg)
+    bare = caley_klein_asymptotic(x.coupling ** 2)
     assert ck.a == bare.a
-    assert abs(ck.b - bare.b * cmath.exp(1j * passage_phase(idx, cfg))) <= 1e-15
+    assert abs(ck.b - bare.b * cmath.exp(1j * x.phase)) <= 1e-15
 
 
 def test_transfer_matrix_unitarity_random():
@@ -320,6 +315,42 @@ def test_finite_transfer_matrices_compose_over_adjacent_windows():
             np.testing.assert_allclose(parts[1] @ parts[0], parts[2], rtol=0.0, atol=1e-12)
 
 
+def _frame_propagator(cfg, tau_start, tau_end):
+    """(a, b) of the numeric propagator over the window in the frame of the
+    longitudinal phase: the lab propagator, one column per basis state,
+    with the state rotated by e^{+-i theta/2} at both ends."""
+    lab = np.array([propagate_tdse(cfg, np.array(psi0, dtype=complex), tau_start, tau_end,
+                                   tol=1e-12, sample_stride=tau_end - tau_start).data[-1]
+                    for psi0 in ((1.0, 0.0), (0.0, 1.0))]).T
+    c = cfg.working()
+    r0, r1 = (cmath.exp(0.5j * longitudinal_phase(t, c)) for t in (tau_start, tau_end))
+    frame = np.diag([r1, 1.0 / r1]) @ lab @ np.diag([1.0 / r0, r0])
+    return frame[0, 0], frame[0, 1]
+
+
+def test_finite_transfer_matrix_is_the_frame_propagator():
+    # a finite pair is the frame propagator over its window entry by entry,
+    # passage phase included; the opposite sign of the passage phase misses
+    # the bare rows by 0.085-0.37 and the isolated crossings by 0.05-0.34
+    bare = ((DriveConfig(delta=0.2, eps0=1.3), -5.0, 7.0),
+            (DriveConfig(delta=0.2, eps0=-2.1), -3.0, 9.0),
+            (DriveConfig(v=2.5, delta=0.3, eps0=0.9), -6.0, 5.0))
+    # an isolated crossing of a driven config, where the off-resonant
+    # partners in the same window set the floor (1.1e-3 to 1.9e-3)
+    sidebands = DriveConfig(amp_mw=0.3, freq_mw=40.0, phase=0.7)
+    isolated = ((sidebands, HarmonicIndex(0, 1), -50.0, -30.0),
+                (sidebands, HarmonicIndex(0, -1), 30.0, 50.0),
+                (DriveConfig(delta=0.1, amp_rf=20.0, freq_rf=40.0), HarmonicIndex(1, 0),
+                 -50.0, -30.0))
+    rows = [(cfg, HarmonicIndex(0, 0), t0, t1, 1e-8) for cfg, t0, t1 in bare]
+    rows += [row + (5e-3,) for row in isolated]
+    for cfg, idx, t0, t1, tol in rows:
+        a, b = _frame_propagator(cfg, t0, t1)
+        ck = transfer_matrix(idx, cfg, asymptotic=False, tau_start=t0, tau_end=t1)
+        assert abs(ck.a - a) <= tol, (idx, cfg)
+        assert abs(ck.b - b) <= tol, (idx, cfg)
+
+
 def test_passage_propagator_zero_coupling():
     pp = single_passage_propagator(DriveConfig(freq_rf=1.0, freq_mw=1.0))
     assert pp.c == 1.0 and pp.d == 0.0
@@ -357,7 +388,7 @@ def test_sideband_pair_symmetry():
         for alpha in (1, -1):
             idx = HarmonicIndex(0, alpha)
             ck = transfer_matrix(idx, cfg)
-            pairs.append((ck.a, ck.b * cmath.exp(-1j * passage_phase(idx, cfg))))
+            pairs.append((ck.a, ck.b * cmath.exp(-1j * crossings(idx, cfg).phase)))
         (ap, bp), (am, bm) = pairs
         # b differs between the two only by the passage phase it carries
         assert ap == am

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import lzdrive.analytic as analytic
-import lzdrive.blochpert as blochpert
 import lzdrive.model as model
 from lzdrive.blochpert import (
     TruncationSpec,
@@ -19,14 +18,7 @@ from lzdrive.blochpert import (
     phase_kernel,
 )
 from lzdrive.errors import DomainError
-from lzdrive.model import (
-    ALPHAS,
-    DriveConfig,
-    HarmonicIndex,
-    effective_coupling,
-    level_offset,
-    passage_phase,
-)
+from lzdrive.model import ALPHAS, Crossings, DriveConfig, HarmonicIndex, crossings
 from lzdrive.specfun import bessel_j, scaled_fresnel
 from oracles import bloch_perturbative_pairform
 
@@ -134,14 +126,12 @@ def test_magnitude_closed_form():
 def test_phase_kernel_minimized_at_crossing():
     cfg = DriveConfig(**CASCADE, phase=0.4)
     idx = HarmonicIndex(3, 1)
-    from lzdrive.model import level_offset, passage_phase
-
-    off = level_offset(idx, cfg)
-    taus = np.linspace(-off - 2.0, -off + 2.0, 801)
+    x = crossings(idx, cfg)
+    taus = np.linspace(-x.offset - 2.0, -x.offset + 2.0, 801)
     vals = phase_kernel(taus, idx, cfg)
     k = int(np.argmin(vals))
-    assert taus[k] == pytest.approx(-off, abs=1e-2)
-    assert vals[k] == pytest.approx(-passage_phase(idx, cfg), abs=1e-4)
+    assert taus[k] == pytest.approx(-x.offset, abs=1e-2)
+    assert vals[k] == pytest.approx(-x.phase, abs=1e-4)
 
 
 def test_ac_as_single_term_limit():
@@ -275,6 +265,8 @@ def test_asymptotic_uz_consistent_with_survival_exponent():
 
 
 def test_harmonic_grid_is_the_stacked_scalar_calls():
+    # the crossing table over the (n, alpha) grid that _zeta reads, raveled
+    # alpha-major, against one scalar table per crossing
     rng = np.random.default_rng(19)
     for _ in range(20):
         w = rng.uniform(0.5, 20.0)
@@ -285,12 +277,12 @@ def test_harmonic_grid_is_the_stacked_scalar_calls():
             phase=rng.uniform(-7.0, 7.0),
         )
         trunc = default_truncation(cfg)
-        couplings, offsets, phases = blochpert._harmonic_grid(cfg, trunc)
-        ks = range(-trunc.n_max, trunc.n_max + 1)
-        for got, fn in ((couplings, effective_coupling), (offsets, level_offset),
-                        (phases, passage_phase)):
-            want = [fn(HarmonicIndex(k, alpha), cfg) for alpha in ALPHAS for k in ks]
-            assert np.array_equal(got, want), fn.__name__
+        ks = np.arange(-trunc.n_max, trunc.n_max + 1)
+        table = crossings(HarmonicIndex(ks, np.array(ALPHAS)[:, None]), cfg)
+        for field in Crossings._fields:
+            want = [getattr(crossings(HarmonicIndex(k, alpha), cfg), field)
+                    for alpha in ALPHAS for k in ks.tolist()]
+            assert np.array_equal(getattr(table, field).ravel(), want), field
 
 
 def _bessel_calls(monkeypatch, fn, *args):
@@ -309,8 +301,8 @@ def _bessel_calls(monkeypatch, fn, *args):
 def test_harmonic_table_evaluates_bessel_weights_once_per_use(monkeypatch):
     # one broadcast call gives every coupling
     cfg = DriveConfig(**CASCADE)
-    assert _bessel_calls(monkeypatch, blochpert._harmonic_grid, cfg,
-                         default_truncation(cfg)) == 1
+    assert _bessel_calls(monkeypatch, bloch_perturbative, np.linspace(-5.0, 5.0, 11),
+                         cfg) == 1
     resonant = DriveConfig(delta=0.1, eps0=2.0, amp_rf=3.0, freq_rf=1.0, amp_mw=0.1,
                            freq_mw=2.0, phase=0.3)
     assert _bessel_calls(monkeypatch, analytic.strong_drive_delta, resonant) == 1

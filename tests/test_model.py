@@ -9,14 +9,13 @@ from lzdrive.errors import AccuracyError, ConfigError, DomainError
 from lzdrive.model import (
     ALPHAS,
     DriveConfig,
+    Crossings,
     HarmonicIndex,
-    branch_phase,
-    effective_coupling,
+    crossings,
     eigenenergies,
     field_vector,
     hamiltonian,
     level_offset,
-    passage_phase,
     transverse_field,
 )
 from lzdrive.specfun import bessel_j
@@ -187,10 +186,10 @@ def test_level_offset_values():
 
 def test_effective_coupling_values():
     cfg = DriveConfig(delta=0.07)
-    assert effective_coupling(HarmonicIndex(0, 0), cfg) == pytest.approx(0.035)
-    assert effective_coupling(HarmonicIndex(1, 1), cfg) == 0.0
+    assert crossings(HarmonicIndex(0, 0), cfg).coupling == pytest.approx(0.035)
+    assert crossings(HarmonicIndex(1, 1), cfg).coupling == 0.0
     cfg = DriveConfig(amp_rf=25.0, freq_rf=1.0, amp_mw=0.08, freq_mw=1.0)
-    got = effective_coupling(HarmonicIndex(5, -1), cfg)
+    got = crossings(HarmonicIndex(5, -1), cfg).coupling
     assert got == pytest.approx(0.02 * bessel_j(5, 25.0), abs=1e-15)
 
 
@@ -198,8 +197,8 @@ def test_effective_coupling_parity():
     cfg = DriveConfig(delta=0.1, amp_rf=7.0, freq_rf=1.3, amp_mw=0.05, freq_mw=2.0)
     for n in range(0, 9):
         for alpha in (-1, 0, 1):
-            plus = effective_coupling(HarmonicIndex(n, alpha), cfg)
-            minus = effective_coupling(HarmonicIndex(-n, alpha), cfg)
+            plus = crossings(HarmonicIndex(n, alpha), cfg).coupling
+            minus = crossings(HarmonicIndex(-n, alpha), cfg).coupling
             assert minus == pytest.approx((-1.0) ** n * plus, abs=1e-15)
 
 
@@ -208,38 +207,48 @@ def test_harmonic_functions_broadcast_over_photon_index():
     cfg = DriveConfig(v=2.3, delta=0.11, eps0=0.7, amp_rf=3.0, freq_rf=1.7,
                       amp_mw=0.09, freq_mw=1.3, phase=0.4)
     for alpha in ALPHAS:
-        for fn in (effective_coupling, level_offset, passage_phase):
-            got = fn(HarmonicIndex(n, alpha), cfg)
-            want = np.array([fn(HarmonicIndex(int(k), alpha), cfg) for k in n])
+        table = crossings(HarmonicIndex(n, alpha), cfg)
+        assert table.offset.tobytes() == level_offset(HarmonicIndex(n, alpha), cfg).tobytes()
+        for field in Crossings._fields:
+            got = getattr(table, field)
+            want = np.array([getattr(crossings(HarmonicIndex(int(k), alpha), cfg), field)
+                             for k in n])
             assert got.shape == n.shape
-            assert got.tobytes() == want.tobytes(), (fn.__name__, alpha)
+            assert got.tobytes() == want.tobytes(), (field, alpha)
 
 
 def test_passage_phase_values():
-    assert passage_phase(HarmonicIndex(0, 0), DriveConfig()) == 0.0
+    assert crossings(HarmonicIndex(0, 0), DriveConfig()).phase == 0.0
     cfg = DriveConfig(phase=math.pi / 2)
-    assert passage_phase(HarmonicIndex(0, 1), cfg) == pytest.approx(-math.pi / 2)
+    assert crossings(HarmonicIndex(0, 1), cfg).phase == pytest.approx(-math.pi / 2)
     cfg = DriveConfig(eps0=0.5, freq_rf=1.0, freq_mw=1.0, phase=math.pi / 4)
-    got = passage_phase(HarmonicIndex(1, -1), cfg)
+    got = crossings(HarmonicIndex(1, -1), cfg).phase
     assert got == pytest.approx(0.125 + math.pi / 4)
 
 
 def test_alpha_validation():
-    with pytest.raises(DomainError):
-        level_offset(HarmonicIndex(0, 2), DriveConfig())
+    for fn in (level_offset, crossings):
+        with pytest.raises(DomainError):
+            fn(HarmonicIndex(0, 2), DriveConfig())
     # one entry outside the branches refuses a whole alpha array
     cfg = DriveConfig(delta=0.1, amp_rf=2.0, freq_rf=1.0, amp_mw=0.1, freq_mw=1.0)
     for bad in (2, 0.5):
         alpha = np.array([-1, 0, bad])
-        for fn in (level_offset, effective_coupling, passage_phase):
+        for fn in (level_offset, crossings):
             with pytest.raises(DomainError, match="alpha"):
                 fn(HarmonicIndex(np.arange(3), alpha), cfg)
-        with pytest.raises(DomainError, match="alpha"):
-            branch_phase(alpha, cfg)
+
+
+def test_crossings_refuse_the_unswept_drive():
+    # the table is in units of sqrt(v), which v = 0 does not have
+    cfg = DriveConfig(v=0.0, delta=0.1, amp_rf=2.0, freq_rf=1.0, amp_mw=0.1, freq_mw=1.0)
+    for idx in (HarmonicIndex(0, 0), HarmonicIndex(np.arange(3), np.array(ALPHAS))):
+        with pytest.raises(ConfigError, match="v = 0"):
+            crossings(idx, cfg)
 
 
 def test_scalar_and_array_harmonic_lookups_agree_bit_for_bit():
-    # a plain int (n, alpha) takes the scalar path of each lookup; it must
+    # a plain int (n, alpha) takes the scalar path of the table; each field must
     # give the same bytes as its element of one broadcast-grid call
     rng = np.random.default_rng(20240530)
     n = np.arange(-5, 6)
@@ -256,15 +265,14 @@ def test_scalar_and_array_harmonic_lookups_agree_bit_for_bit():
             freq_mw=rng.uniform(0.2, 3.0),
             phase=rng.uniform(0.0, 2.0 * math.pi),
         )
-        phases = branch_phase(alpha, cfg)
-        for fn in (effective_coupling, level_offset, passage_phase):
-            table = fn(grid, cfg)
-            for i, a in enumerate(ALPHAS):
-                for j, m in enumerate(n.tolist()):
-                    got = np.float64(fn(HarmonicIndex(m, a), cfg)).tobytes()
-                    assert got == table[i, j].tobytes(), (fn.__name__, m, a, cfg)
+        table = crossings(grid, cfg)
         for i, a in enumerate(ALPHAS):
-            assert np.float64(branch_phase(a, cfg)).tobytes() == phases[i].tobytes()
+            for j, m in enumerate(n.tolist()):
+                scalar = crossings(HarmonicIndex(m, a), cfg)
+                for field in Crossings._fields:
+                    got = np.float64(getattr(scalar, field)).tobytes()
+                    want = getattr(table, field)[i, j].tobytes()
+                    assert got == want, (field, m, a, cfg)
 
 
 def test_bessel_j_scalar_orders_match_the_array_path():
