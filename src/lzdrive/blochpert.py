@@ -9,7 +9,9 @@ and u_z = 1 - |zeta|^2/2; the large-time limit takes zeta(+inf).  The L/M
 and F/G kernels and a_c, a_s are the paper's forms of the same algebra.
 
 All evaluators accept scalar or array times and vectorize over the harmonic
-grid, so full-window traces with n_max = 40 stay cheap.
+grid; zeta evaluates one Fresnel pair per distinct crossing offset per time.
+Crossings coincide when omega_f/omega is rational with a small denominator
+(omega_f = omega: staircase, polarizations), and all do at omega = omega_f = 0.
 """
 
 from __future__ import annotations
@@ -128,16 +130,19 @@ def _zeta(tau, cfg: DriveConfig, trunc: TruncationSpec):
     """First-order Magnus generator zeta(tau) (tau may be +inf): the integral
     of b_x e^{-i theta} from -infinity to tau as 2 sqrt(pi) sum_k J_k
     e^{i Psi_k} (C_k - i S_k), (C_k, S_k) the shifted Fresnel pair at
-    tau + offset_k, summed over raveled times so every shape agrees.  The
-    crossing table covers the (n, alpha) grid, |n| <= n_max, raveled
-    alpha-major."""
+    tau + offset_k, summed over raveled times so every shape agrees.  Over
+    the (n, alpha) grid, |n| <= n_max, crossings whose offsets are equal bit
+    for bit share one pair, their weights summed first."""
     trunc.validate_for(cfg)
     n = np.arange(-trunc.n_max, trunc.n_max + 1)
     x = crossings(HarmonicIndex(n, np.array(ALPHAS)[:, None]), cfg)
-    cc, ss = scaled_fresnel(np.reshape(tau, (-1, 1)) + x.offset.ravel())
+    # ravel first: the inverse of np.unique is 1-D on numpy 1.x and 2.x alike
+    offsets, group = np.unique(x.offset.ravel(), return_inverse=True)
     w = _TWO_SQRT_PI * x.coupling.ravel() * np.exp(1j * x.phase.ravel())
+    re, im = (np.bincount(group, part) for part in (w.real, w.imag))
+    cc, ss = scaled_fresnel(np.reshape(tau, (-1, 1)) + offsets)
     # (C - iS) w = C w + S (-iw), each weight vector as a real (re, im) pair
-    parts = cc @ np.column_stack([w.real, w.imag]) + ss @ np.column_stack([w.imag, -w.real])
+    parts = cc @ np.column_stack([re, im]) + ss @ np.column_stack([im, -re])
     return (parts[:, 0] + 1j * parts[:, 1]).reshape(np.shape(tau))
 
 

@@ -7,7 +7,8 @@ Runge-Kutta pair (DOP853) in their rotating frame, the passage propagator
 multiplied out by hand and its |c|^2 as a four-path interference sum (both
 from the Cayley-Klein pairs, signed couplings and passage phases, without
 ``transfer_matrix``), the strong-drive exponent regrouped or specialized to
-zero static shift, u_z through the pairwise F/G kernels, the finite-window
+zero static shift, the Magnus generator zeta with one Fresnel pair per
+(n, alpha) column, u_z through the pairwise F/G kernels, the finite-window
 Cayley-Klein pair from six direct Weber evaluations, and the exported CSV
 rows and sample labels with one ``format(x, ".17g")`` call per value.  The package
 keeps one production path per quantity; these stay here so that path is
@@ -24,7 +25,7 @@ from lzdrive.analytic import CayleyKlein, caley_klein_asymptotic, resonance_inde
 from lzdrive.blochpert import default_truncation, fg_kernels
 from lzdrive.errors import DomainError, IntegrationError, OffResonanceError
 from lzdrive.model import ALPHAS, HarmonicIndex, crossings
-from lzdrive.specfun import bessel_j, log_gamma, weber_d
+from lzdrive.specfun import bessel_j, log_gamma, scaled_fresnel, weber_d
 
 _RES_TOL = 1e-6
 _DELTA_FLOOR = 1e-14
@@ -221,6 +222,20 @@ def strong_drive_delta_zero_shift(cfg):
     return (j_static + (j_minus_q + j_plus_q) * cos_phi) ** 2 + (
         (j_minus_q - j_plus_q) * sin_phi
     ) ** 2
+
+
+def zeta_per_column(tau, cfg, trunc):
+    """zeta(tau) with one shifted Fresnel pair per (n, alpha) column of the
+    crossing table, |n| <= n_max, whether or not two columns share an offset:
+    2 sqrt(pi) sum_k J_k e^{i Psi_k} (C_k - i S_k), one complex product per
+    column summed in column order; of shape tau, which may hold +inf."""
+    trunc.validate_for(cfg)
+    n = np.arange(-trunc.n_max, trunc.n_max + 1)
+    x = crossings(HarmonicIndex(n, np.array(ALPHAS)[:, None]), cfg)
+    tau = np.asarray(tau, dtype=float)
+    cc, ss = scaled_fresnel(tau[..., None] + x.offset.ravel())
+    w = 2.0 * math.sqrt(math.pi) * x.coupling.ravel() * np.exp(1j * x.phase.ravel())
+    return np.sum(w * (cc - 1j * ss), axis=-1)
 
 
 def bloch_perturbative_pairform(tau, cfg, trunc=None):

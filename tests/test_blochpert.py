@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import lzdrive.analytic as analytic
+import lzdrive.blochpert as blochpert
 import lzdrive.model as model
 from lzdrive.blochpert import (
     TruncationSpec,
+    _zeta,
     ac_as,
     bloch_asymptotic_uz,
     bloch_perturbative,
@@ -20,7 +22,7 @@ from lzdrive.blochpert import (
 from lzdrive.errors import DomainError
 from lzdrive.model import ALPHAS, Crossings, DriveConfig, HarmonicIndex, crossings
 from lzdrive.specfun import bessel_j, scaled_fresnel
-from oracles import bloch_perturbative_pairform
+from oracles import bloch_perturbative_pairform, zeta_per_column
 
 CASCADE = dict(delta=0.07, eps0=0.5, amp_rf=25.0, freq_rf=1.0, amp_mw=0.08,
                freq_mw=1.0)
@@ -306,3 +308,65 @@ def test_harmonic_table_evaluates_bessel_weights_once_per_use(monkeypatch):
     resonant = DriveConfig(delta=0.1, eps0=2.0, amp_rf=3.0, freq_rf=1.0, amp_mw=0.1,
                            freq_mw=2.0, phase=0.3)
     assert _bessel_calls(monkeypatch, analytic.strong_drive_delta, resonant) == 1
+
+
+# crossings coincide at omega_f = omega (criterion 5's staircase and criterion
+# 6's polarizations), omega_f = 2 omega and omega = omega_f = 0; at
+# omega_f = sqrt(2) omega every offset is distinct
+ZETA_CONFIGS = {
+    "staircase phi=0": dict(CASCADE),
+    "staircase phi=pi/4": dict(CASCADE, phase=math.pi / 4),
+    "staircase phi=pi/2": dict(CASCADE, phase=math.pi / 2),
+    "polarization": dict(delta=0.07, amp_rf=0.05, freq_rf=1.0, amp_mw=0.085, freq_mw=1.0),
+    "resonant omega_f=2omega": dict(delta=0.1, eps0=2.0, amp_rf=3.0, freq_rf=1.0,
+                                    amp_mw=0.1, freq_mw=2.0, phase=0.3),
+    "bare": dict(delta=0.05, eps0=0.3),
+    "incommensurate": dict(CASCADE, freq_mw=math.sqrt(2.0), phase=0.7),
+    "v=2.5": dict(v=2.5, delta=0.1, eps0=0.9, amp_rf=12.0, freq_rf=1.5, amp_mw=0.09,
+                  freq_mw=1.5, phase=0.4),
+}
+
+
+def _offsets(cfg, n_max):
+    n = np.arange(-n_max, n_max + 1)
+    return crossings(HarmonicIndex(n, np.array(ALPHAS)[:, None]), cfg).offset.ravel()
+
+
+@pytest.mark.parametrize("name", list(ZETA_CONFIGS))
+def test_zeta_matches_the_per_column_oracle(name):
+    # summing the weights of bit-equal offsets first only reassociates the sum
+    cfg = DriveConfig(**ZETA_CONFIGS[name])
+    trunc = TruncationSpec(40)
+    for tau in (0.3, np.linspace(-50.0, 50.0, 1001).reshape(7, 143), INF):
+        got = _zeta(tau, cfg, trunc)
+        want = zeta_per_column(tau, cfg, trunc)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def _fresnel_points(monkeypatch, cfg, taus):
+    """Points handed to each scaled_fresnel call by one bloch_perturbative at
+    n_max 40."""
+    points = []
+
+    def counted(x):
+        points.append(np.size(x))
+        return scaled_fresnel(x)
+
+    monkeypatch.setattr(blochpert, "scaled_fresnel", counted)
+    bloch_perturbative(taus, cfg, TruncationSpec(40))
+    return points
+
+
+def test_zeta_evaluates_one_fresnel_pair_per_distinct_offset(monkeypatch):
+    taus = np.linspace(-50.0, 50.0, 1001)
+    staircase = DriveConfig(**CASCADE)
+    distinct = np.unique(_offsets(staircase, 40)).size
+    assert 2 * distinct < 243
+    assert _fresnel_points(monkeypatch, staircase, taus) == [distinct * 1001]
+    # offsets that are close but not bit-equal keep their own pair: at
+    # omega_f = omega + 1e-12 the (n, 1) and (n + 1, 0) crossings are 1e-12 apart
+    for cfg in (DriveConfig(**ZETA_CONFIGS["incommensurate"]),
+                DriveConfig(**dict(CASCADE, freq_mw=1.0 + 1e-12))):
+        assert np.unique(_offsets(cfg, 40)).size == 243
+        assert _fresnel_points(monkeypatch, cfg, taus) == [243 * 1001]
