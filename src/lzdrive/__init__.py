@@ -6,6 +6,11 @@ Layers:
 
 - ``specfun``: special functions (Bessel, Fresnel, complex log-gamma over
   ``scipy.special``; Stokes phase and the Weber parabolic cylinder function).
+  ``scipy.special`` loads on the first special-function call, so importing
+  the package, ``lzdrive trace``, sweeps of ``p_up_final``, ``p_dn_final``
+  and ``uz_final`` and ``compare --method rabi`` never load scipy: the
+  import takes about 45 ms after numpy instead of about 300 ms, and a cold
+  ``lzdrive trace`` about 0.2 s instead of 0.45 s (2-vCPU x86-64 VM).
 - ``model``: drive parameters, field vector (with the transverse field and
   longitudinal phase that ``integrate``'s frame reads), Hamiltonian, and
   the (n, alpha) crossing table ``crossings`` that every closed form reads.

@@ -90,6 +90,17 @@ _NODE_W = math.sqrt(15.0) / 3.0  # weight of g3 - g1 in a2
 _UP = np.array([1.0 + 0.0j, 0.0 + 0.0j])
 _NORTH = np.array([0.0, 0.0, 1.0])
 
+# glibc's malloc serves a block above its mmap threshold by mmap, and freeing
+# such a block raises that threshold to the block's size and the heap-trim
+# threshold to twice it.  One Magnus block frees about 1.2 MB of temporaries
+# at once (six complex (3, _BLOCK) arrays); under a trim threshold of that
+# size the heap top goes back to the system after every block and is faulted
+# in again (29 000 minor faults per resonance_sweep round on x86-64 Linux,
+# glibc 2.36, against none above it).  Freeing one untouched 1.5 MB array
+# here lifts both thresholds past a block; elsewhere it is one unused
+# allocation.
+np.empty((8, 3, _BLOCK), complex)
+
 
 @dataclass(frozen=True)
 class SolveStats:

@@ -209,10 +209,13 @@ def longitudinal_phase(tau, cfg: DriveConfig):
 
 def level_offset(idx: HarmonicIndex, cfg: DriveConfig) -> float:
     """Crossing offset omega_n^alpha = eps0 + n*omega + alpha*omega_f in
-    units of sqrt(v); the (n, alpha) crossing sits at tau = -offset."""
+    units of sqrt(v); the (n, alpha) crossing sits at tau = -offset.  The
+    drive multiples are summed before eps0 is added, so crossings that
+    coincide share one offset bit for bit whenever those multiples are exact
+    (omega_f = omega = 1, as in the staircase and polarization drives)."""
     _check_alpha(idx.alpha)
     c = cfg.reduced()
-    return c.eps0 + idx.n * c.freq_rf + idx.alpha * c.freq_mw
+    return c.eps0 + (idx.n * c.freq_rf + idx.alpha * c.freq_mw)
 
 
 def crossings(idx: HarmonicIndex, cfg: DriveConfig) -> Crossings:

@@ -20,6 +20,11 @@ right-half-plane evaluations.
 
 All functions are deterministic and stateless; array broadcasting is
 supported where the callers need it (Bessel orders, Fresnel).
+
+``scipy.special`` is imported on the first call that needs it, not with
+this module: its import is most of the package's cold start, and direct
+propagation (``lzdrive trace``, sweeps of ``p_up_final``, ``p_dn_final``
+and ``uz_final``, ``compare --method rabi``) never calls it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import AccuracyError, DomainError
 
@@ -48,6 +52,21 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+class _LazySpecial:
+    """Stands in for ``scipy.special`` until the first attribute lookup,
+    which imports it and rebinds the module's ``special`` to it, so later
+    calls look up scipy's functions directly."""
+
+    def __getattr__(self, name):
+        global special
+        from scipy import special
+
+        return getattr(special, name)
+
+
+special = _LazySpecial()
 
 
 # ---------------------------------------------------------------------------

@@ -370,3 +370,27 @@ def test_zeta_evaluates_one_fresnel_pair_per_distinct_offset(monkeypatch):
                 DriveConfig(**dict(CASCADE, freq_mw=1.0 + 1e-12))):
         assert np.unique(_offsets(cfg, 40)).size == 243
         assert _fresnel_points(monkeypatch, cfg, taus) == [243 * 1001]
+
+
+def test_coincident_crossings_share_an_offset_over_the_criterion_drives():
+    # criteria 5 and 6 drive at omega_f = omega = 1, where |n + alpha| <= 41
+    # leaves 83 distinct crossings; the drive multiples are summed exactly
+    # before eps0 is added, so jittered statics keep the count at 83 (adding
+    # eps0 + n first left 83-104 offsets, 83 only for some eps0)
+    rng = np.random.default_rng(55)
+    trunc = TruncationSpec(40)
+    taus = np.linspace(-50.0, 50.0, 1001)
+    for _ in range(12):
+        staircase = dict(CASCADE, delta=rng.uniform(0.06, 0.08), eps0=rng.uniform(0.4, 0.6),
+                         amp_rf=rng.uniform(22.0, 28.0), amp_mw=rng.uniform(0.07, 0.09),
+                         phase=rng.uniform(0.0, 0.5 * math.pi))
+        polarization = dict(ZETA_CONFIGS["polarization"], delta=rng.uniform(0.06, 0.075),
+                            amp_rf=rng.uniform(0.03, 0.07), amp_mw=rng.uniform(0.075, 0.09))
+        for kw in (staircase, polarization):
+            cfg = DriveConfig(**kw)
+            offsets = _offsets(cfg, 40).reshape(3, -1)
+            assert np.unique(offsets).size == 83
+            # the n = 0 column is eps0 + alpha omega_f as before
+            assert offsets[:, 40].tolist() == [cfg.eps0 + a * cfg.freq_mw for a in ALPHAS]
+            np.testing.assert_allclose(_zeta(taus, cfg, trunc), zeta_per_column(taus, cfg, trunc),
+                                       rtol=0.0, atol=1e-14)

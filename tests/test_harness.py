@@ -543,6 +543,44 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+_COLD_START = """
+import sys
+import lzdrive, lzdrive.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+cfg = lzdrive.DriveConfig(delta=0.08, amp_rf=2.0, freq_rf=1.0, amp_mw=0.1, freq_mw=2.0)
+lzdrive.propagate_tdse(cfg, tau_start=-5.0, tau_end=5.0)
+spec = lzdrive.parse_config("delta = 0.08\\namp_rf = 2\\nfreq_rf = 1\\namp_mw = 0.1\\n"
+                            "freq_mw = 2\\ntau_start = -5\\ntau_end = 5\\n")
+lzdrive.run_trace(spec)
+lzdrive.run_sweep(spec, lzdrive.parse_sweep("axis1_field = delta\\naxis1_min = 0.02\\n"
+                                            "axis1_max = 0.3\\naxis1_steps = 3\\n"
+                                            "observable = p_up_final\\n"))
+rabi = lzdrive.parse_config("v = 0\\namp_rf = 1.3\\nfreq_rf = 0.8\\namp_mw = 0.7\\n"
+                            "freq_mw = 0.8\\ntol = 1e-12\\n")
+assert lzdrive.run_compare(rabi, "rabi", 1e-6).passed
+print(scipy_modules())
+lzdrive.strong_drive_delta(lzdrive.DriveConfig(delta=0.1, eps0=2.0, amp_rf=3.0, freq_rf=1.0,
+                                               amp_mw=0.1, freq_mw=2.0, phase=0.3))
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_propagation_workflows_load_no_scipy_until_a_closed_form():
+    # scipy.special loads on the first special-function call: importing the
+    # package and CLI, propagating, tracing, sweeping p_up_final and the rabi
+    # compare never make one; a closed form that reads a Bessel weight does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "True", ""]
+
+
 def test_cli_usage_errors_exit_with_config_code(tmp_path, capsys):
     # 2 means a numeric failure, so a malformed command line exits 1
     cfg = tmp_path / "run.cfg"

@@ -16,6 +16,11 @@ closed forms and recurrence, Cayley-Klein unitarity) are defined once, in
 
 import cmath
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -570,3 +575,108 @@ def test_weber_expansion_converges_and_gives_the_derivative():
         dm1, _, _ = _weber_asym(nu - 1.0, z, scale)
         rhs = nu * dm1 - 0.5 * z * d
         assert abs(dd - rhs) <= 1e-13 * abs(rhs), (nu, z)
+
+
+# ---------------------------------------------------------------------------
+# scipy.special loads on the first call
+# ---------------------------------------------------------------------------
+
+# Calls of the four scipy-backed wrappers, run in a fresh process and in this
+# one.  REFUSALS refuse before any scipy call; each VALUES entry pairs a
+# wrapper call with the scipy.special call it returns bit for bit, or None
+# where the wrapper takes its own branch (|x| > 1e4, poles, subnormal |z|).
+_FIRST_CALLS = """
+import math, pickle, sys
+import numpy as np
+from lzdrive import specfun as sf
+
+REFUSALS = [
+    lambda: sf.bessel_j(2.5, 1.0),
+    lambda: sf.bessel_j(True, 1.0),
+    lambda: sf.bessel_j(np.array([1.0, 2.5]), 1.0),
+    lambda: sf.bessel_j(np.array([0, 3, -10_001]), 1.0),
+    lambda: sf.bessel_j(2, math.inf),
+    lambda: sf.bessel_j(np.arange(3), 2e5),
+    lambda: sf.fresnel(np.array([0.3, math.nan])),
+    lambda: sf.log_gamma(-3.0),
+    lambda: sf.log_gamma(complex(1.0, math.nan)),
+    lambda: sf.reciprocal_gamma(complex(math.inf, 0.0)),
+]
+NEAR = np.array([-1e4, -7.3, -0.0, 1e-300, 0.4, 2.9, 1e4])
+FAR = np.array([-7.7e11, -2.5e4, 1e4 * (1.0 + 1e-12), 3.3e7, 1e12, math.inf])
+VALUES = {
+    "bessel_j": [
+        (lambda: sf.bessel_j(np.arange(-6, 7), 3.7), lambda sp: sp.jv(np.arange(-6, 7), 3.7)),
+        (lambda: sf.bessel_j(np.array([[2.0, -40.0], [0.0, 7.0]]), -61.2),
+         lambda sp: sp.jv(np.array([[2, -40], [0, 7]]), -61.2)),
+        (lambda: sf.bessel_j(3, 2.5), lambda sp: sp.jv(3, 2.5)),
+    ],
+    "fresnel": [
+        (lambda: sf.fresnel(NEAR), lambda sp: sp.fresnel(NEAR)[::-1]),
+        (lambda: sf.fresnel(0.3), lambda sp: tuple(float(v) for v in sp.fresnel(0.3)[::-1])),
+        (lambda: sf.fresnel(FAR), None),
+    ],
+    "log_gamma": [
+        (lambda: sf.log_gamma(complex(-2.5, -0.0)), lambda sp: complex(sp.loggamma(complex(-2.5, 0.0)))),
+        (lambda: sf.log_gamma(1.3 - 4.1j), lambda sp: complex(sp.loggamma(1.3 - 4.1j))),
+        (lambda: sf.log_gamma(complex(3e-320, -2e-315)), None),
+    ],
+    "reciprocal_gamma": [
+        (lambda: sf.reciprocal_gamma(complex(-2.5, -0.0)), lambda sp: complex(sp.rgamma(complex(-2.5, 0.0)))),
+        (lambda: sf.reciprocal_gamma(-0.7 + 2.2j), lambda sp: complex(sp.rgamma(-0.7 + 2.2j))),
+        (lambda: sf.reciprocal_gamma(complex(-2.0, -0.0)), None),
+        (lambda: sf.reciprocal_gamma(1e-310), None),
+    ],
+}
+
+
+def refusals():
+    out = []
+    for call in REFUSALS:
+        try:
+            call()
+        except (ValueError, ArithmeticError) as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+"""
+
+_FIRST_CALLS_CHILD = """
+first = sys.argv[1]
+refused = refusals()
+loaded_after_refusals = "scipy" in sys.modules
+order = [first] + [name for name in VALUES if name != first]
+values = {name: [call() for call, _ in VALUES[name]] for name in order}
+import scipy.special
+print(pickle.dumps((refused, loaded_after_refusals, values,
+                    sf.special is scipy.special)).hex())
+"""
+
+
+def _as_bits(value):
+    arr = np.asarray(value)
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("first", ["bessel_j", "fresnel", "log_gamma", "reciprocal_gamma"])
+def test_first_special_function_call_binds_scipy_special_and_changes_no_value(first):
+    # the first call of any wrapper imports scipy.special through the
+    # module's placeholder; its values, and every refusal, are those of the
+    # module bound to scipy.special, bit for bit
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", _FIRST_CALLS + _FIRST_CALLS_CHILD, first],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    refused, loaded_after_refusals, values, bound = pickle.loads(bytes.fromhex(proc.stdout))
+    ns = {}
+    exec(_FIRST_CALLS, ns)
+    assert not loaded_after_refusals
+    assert len(refused) == len(ns["REFUSALS"]) and refused == ns["refusals"]()
+    assert list(values)[0] == first
+    for name, calls in ns["VALUES"].items():
+        for got, (call, direct) in zip(values[name], calls, strict=True):
+            assert _as_bits(got) == _as_bits(call()), name
+            if direct is not None:
+                assert _as_bits(got) == _as_bits(direct(special)), name
+    assert bound
